@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True, help="tuple length k")
         if with_x:
             p.add_argument("--X", type=int, help="range bound X")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument(
+            "--workers", type=int, default=1, help="parallel workers (dict backend only)"
+        )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument(

@@ -13,15 +13,28 @@ Performance notes.  Canonical coordinates of the product are linear in the
 coefficient vector of prod(t + x_i), and that vector is affine in the last
 factor once the first k-1 factors are fixed.  Folding the coordinates into a
 single integer by a (signed) mixed-radix encoding with per-coordinate bounds
-keeps that affine structure, so the innermost loop is `key = a*x + b` with
-one dict update per multiset.  Everything stays in arbitrary-precision
-integer arithmetic; the encoding is injective within the bounds box and is
-used only inside the engine (public canonical forms are exact vectors).
+keeps that affine structure, so the innermost loop is `key = a*x + b`.  The
+encoding is injective within the bounds box and is used only inside the
+engine (public canonical forms are exact vectors).
 
-Parallelism.  The multiset space is split into contiguous ranges of the
-first coordinate; each worker fills a partial table and the parent merges by
-addition, which is associative and commutative, so reports are identical for
-any worker count.  Workers <= 1 runs fully inline (the reference path).
+Two backends fill the table.  The array backend settles a cell when numpy
+imports, k >= 2, the cell has at least _ARRAY_MIN_MULTISETS multisets
+(smaller cells do not repay the numpy import) and the keyer's bounds prove
+that every key and partial key fits in int64.  With the first k-2 factors
+fixed the key is bilinear in the last two, a*x*y + b*(x + y) + c, so it
+writes the keys of all their pairs at once into one int64 array and sorts it
+once.  Runs of equal keys give the distinct products and their ordered
+weights, and repeated keys the colliding multisets, so one enumeration
+serves either the count or the witnesses.  Every other cell takes the dict
+backend: one dict update per multiset in arbitrary-precision integers.  It
+is the reference the tests compare the array backend against.
+
+Parallelism.  Only the dict backend is parallel: the multiset space is split
+into contiguous ranges of the first coordinate, each worker fills a partial
+table and the parent merges by addition, which is associative and
+commutative, so reports are identical for any worker count.  Workers <= 1
+runs fully inline.  The array backend always runs in-process, whatever the
+worker count: serially it is faster than the pool is in parallel.
 """
 
 from __future__ import annotations
@@ -41,6 +54,17 @@ from .shifts import Algebraic, CanonicalProduct, Rational, Shift, Transcendental
 DEFAULT_MAX_K = 6
 DEFAULT_MEMORY_BUDGET_MB = 2048
 _BYTES_PER_TABLE_ENTRY = 96
+# The array backend pays for importing numpy (0.13-0.17 s) only on cells at
+# least this big.
+_ARRAY_MIN_MULTISETS = 1 << 20
+# Peak bytes of the array backend, by tracemalloc (which sees numpy buffers)
+# at k=3, X=100: 35.5 per multiset for the table, 31.0 for the witnesses; on
+# top comes its table of the X(X+1)/2 pairs, four int64 arrays, which is as
+# big as the cell at k=2.  The dict backend measured 66.5 B per table entry
+# the same way; its guard keeps 96 B.
+_ARRAY_BYTES_PER_MULTISET = 36
+_ARRAY_BYTES_PER_PAIR = 32
+_INT64_LIMIT = 1 << 63
 
 COUNT_CSV_HEADER = "k,X,shift,M,T,nondiag,distinct_nu,elapsed_ms"
 
@@ -82,7 +106,7 @@ class _PolyKeyer:
     c is sum_j c_j * E_j where E_j folds S[j] through the radix strides.
     """
 
-    __slots__ = ("k", "rows_weight", "scale", "bounds", "strides", "dims")
+    __slots__ = ("k", "rows_weight", "scale", "bounds", "strides", "dims", "fits_int64")
 
     def __init__(self, k: int, X: int, rows: Sequence[Sequence[Fraction]], dims: int):
         self.k = k
@@ -101,6 +125,10 @@ class _PolyKeyer:
             strides.append(strides[-1] * (2 * bounds[i] + 1))
         self.bounds = bounds
         self.strides = strides
+        # The array backend's terms a*x*y, b*(x + y) and c (see pair_abc), their
+        # partial sums and the key encode coefficient vectors between 0 and the
+        # product's own, so within sig_bound: each is at most (box - 1)/2.
+        self.fits_int64 = strides[-1] * (2 * bounds[-1] + 1) < _INT64_LIMIT
         self.rows_weight = tuple(
             sum(srows[j][i] * strides[i] for i in range(dims)) for j in range(k + 1)
         )
@@ -126,6 +154,18 @@ class _PolyKeyer:
             b += s * E[j + 1]
         return a, b
 
+    def pair_abc(self, state: tuple[int, ...]) -> tuple[int, int, int]:
+        # the key of state * (t + x) * (t + y) is a*x*y + b*(x + y) + c
+        E = self.rows_weight
+        a = 0
+        b = 0
+        c = 0
+        for j, s in enumerate(state):
+            a += s * E[j]
+            b += s * E[j + 1]
+            c += s * E[j + 2]
+        return a, b, c
+
     def encode(self, nu: CanonicalProduct) -> Optional[int]:
         """Table key of a public canonical form, or None if unrepresentable."""
         if not isinstance(nu.coords, tuple) or len(nu.coords) != self.dims:
@@ -143,11 +183,15 @@ class _PolyKeyer:
 class _RationalKeyer:
     """Keys for rational shifts: the integer product of (q*x + p) itself."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "fits_int64")
 
-    def __init__(self, p: int, q: int):
+    def __init__(self, p: int, q: int, k: int, X: int):
         self.p = p
         self.q = q
+        # A pair_abc state is a product of k-2 factors |q*x + p| <= q*X + |p|,
+        # and a*x*y, b*(x + y), their sum and the key are each at most |state|
+        # times (q*X + |p|)^2 in magnitude.
+        self.fits_int64 = (q * X + abs(p)) ** k < _INT64_LIMIT
 
     def initial_state(self) -> int:
         return 1
@@ -157,6 +201,10 @@ class _RationalKeyer:
 
     def leaf_ab(self, state: int) -> tuple[int, int]:
         return state * self.q, state * self.p
+
+    def pair_abc(self, state: int) -> tuple[int, int, int]:
+        q, p = self.q, self.p
+        return state * q * q, state * q * p, state * p * p
 
     def encode(self, nu: CanonicalProduct) -> Optional[int]:
         return nu.coords if isinstance(nu.coords, int) else None
@@ -173,7 +221,7 @@ def _keyer_for(k: int, X: int, shift: Shift):
     if isinstance(shift, Algebraic):
         return _PolyKeyer(k, X, _reduction_rows(shift.minpoly, k), shift.degree)
     if isinstance(shift, Rational):
-        return _RationalKeyer(shift.p, shift.q)
+        return _RationalKeyer(shift.p, shift.q, k, X)
     raise TypeError(f"not a shift: {shift!r}")
 
 
@@ -270,6 +318,196 @@ def _scan_collect(keyer, k: int, X: int, lo: int, hi: int, wanted, out: dict) ->
 
 
 # ---------------------------------------------------------------------------
+# sort-based array backend
+# ---------------------------------------------------------------------------
+
+
+def _numpy_for(keyer, k: int, X: int):
+    """The numpy module if the array backend settles this cell, else None.
+
+    A multiset weighs at most k!, so every sum of weights is below n * k!
+    (n multisets); with that and the keyer's bound on keys under 2^63 no
+    int64 operation of the backend can wrap.  numpy is imported only once
+    the cell qualifies, so other cells never pay for the import.
+    """
+    n = comb(X + k - 1, k)
+    if k < 2 or n < _ARRAY_MIN_MULTISETS or not keyer.fits_int64:
+        return None
+    if n * factorial(k) >= _INT64_LIMIT:
+        return None
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
+class _SortedFreq:
+    """Frequency table as sorted distinct int64 keys and their int64 ordered weights."""
+
+    __slots__ = ("keys", "weights")
+
+    def __init__(self, keys, weights):
+        self.keys = keys
+        self.weights = weights
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def get(self, key: int, default: int = 0) -> int:
+        if not -_INT64_LIMIT <= key < _INT64_LIMIT:
+            return default
+        i = int(self.keys.searchsorted(key))
+        if i < len(self.keys) and self.keys[i] == key:
+            return int(self.weights[i])
+        return default
+
+    def total(self) -> int:
+        return int(self.weights.sum())
+
+    def sum_of_squares(self) -> int:
+        # sum W^2 <= max(W) * sum W, so the int64 dot is exact under this guard
+        weights = self.weights
+        if int(weights.max()) * self.total() < _INT64_LIMIT:
+            return int(weights @ weights)
+        return sum(w * w for w in weights.tolist())
+
+
+def _enumerate_rows(np, keyer, k: int, X: int):
+    """Key and ordering weight of every multiset (k >= 2), one row each.
+
+    The first k-2 coordinates recurse as in `_scan_weights`.  Below them the
+    key is a*x*y + b*(x + y) + c in the last two coordinates x <= y, so each
+    prefix writes the rows of all its pairs at once from a table of the pairs
+    of [1, X] in lexicographic order, where the pairs with x >= v start at
+    first[v] and each starts with (v, v).  Returns (keys, weights, members),
+    members(rows) being the multisets of an int64 array of rows as sorted
+    tuples.
+    """
+    n = comb(X + k - 1, k)
+    kfact = factorial(k)
+    keys = np.empty(n, dtype=np.int64)
+    weights = np.empty(n, dtype=np.min_scalar_type(kfact))
+    xs, ys = np.triu_indices(X)
+    xs += 1
+    ys += 1
+    pair_product = xs * ys
+    pair_sum = xs + ys
+    first = [0] * (X + 2)
+    for v in range(1, X + 1):
+        first[v + 1] = first[v] + X + 1 - v
+    diagonal = np.array(first[1:X + 1])
+    extend = keyer.extend
+    pair_abc = keyer.pair_abc
+    block_start: list[int] = []
+    block_first: list[int] = []
+    block_prefix: list[tuple] = []
+    end = 0
+
+    def block(state, prefix: tuple, lo: int, den: int, run: int) -> None:
+        # rows prefix + (x, y) for lo <= x <= y <= X; run counts lo in prefix
+        nonlocal end
+        start = end
+        end = start + first[X + 1] - first[lo]
+        a, b, c = pair_abc(state)
+        out = keys[start:end]
+        np.multiply(pair_product[first[lo]:], a, out=out)
+        out += pair_sum[first[lo]:] * b
+        out += c
+        w = weights[start:end]
+        w[:] = kfact // den
+        w[diagonal[lo - 1:] - first[lo]] = kfact // (den * 2)
+        w[:X + 1 - lo] = kfact // (den * (run + 1))
+        w[0] = kfact // (den * (run + 1) * (run + 2))
+        block_start.append(start)
+        block_first.append(first[lo])
+        block_prefix.append(prefix)
+
+    def rec(depth: int, state, den: int, prev: int, run: int, prefix: tuple) -> None:
+        if depth == k - 2:
+            block(state, prefix, prev, den, run)
+            return
+        rec(depth + 1, extend(state, prev), den * (run + 1), prev, run + 1, prefix + (prev,))
+        for x in range(prev + 1, X + 1):
+            rec(depth + 1, extend(state, x), den, x, 1, prefix + (x,))
+
+    state0 = keyer.initial_state()
+    if k == 2:
+        block(state0, (), 1, 1, 0)
+    else:
+        for x1 in range(1, X + 1):
+            rec(1, extend(state0, x1), 1, x1, 1, (x1,))
+    if end != n:
+        raise RuntimeError("array enumeration missed multisets; this is an engine bug")
+    starts = np.array(block_start)
+    firsts = np.array(block_first)
+    prefixes = np.array(block_prefix, dtype=np.int64).reshape(len(block_prefix), k - 2)
+
+    def members(rows) -> list[tuple]:
+        j = starts.searchsorted(rows, side="right") - 1
+        i = firsts[j] + rows - starts[j]
+        return list(map(tuple, np.column_stack((prefixes[j], xs[i], ys[i])).tolist()))
+
+    return keys, weights, members
+
+
+def _run_bounds(np, ordered):
+    """Where each run of equal values of a sorted array starts, then its length."""
+    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+
+
+def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
+    """The frequency table from one in-place sort of the cell's keys.
+
+    Each run of equal keys in sorted order is one distinct product.  A row
+    weighs k! unless its multiset repeats a value, so a run's ordered weight
+    W is k! times its length less the shortfall of those rows, a share of
+    about k(k-1)/X.  Sorting the keys alone and patching W so spares an
+    argsort, the gathers through its permutation and a segmented sum.
+    """
+    keys, weights, _ = _enumerate_rows(np, keyer, k, X)
+    kfact = factorial(k)
+    short = np.flatnonzero(weights != kfact)
+    short_keys = keys[short]
+    shortfall = kfact - weights[short].astype(np.int64)
+    del weights
+    keys.sort()
+    bounds = _run_bounds(np, keys)
+    distinct = keys[bounds[:-1]]
+    del keys
+    W = np.diff(bounds)
+    del bounds
+    W *= kfact
+    np.subtract.at(W, distinct.searchsorted(short_keys), shortfall)
+    return _SortedFreq(distinct, W)
+
+
+def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
+    """The multisets of every key that two or more multisets share, a list per key.
+
+    Colliding keys are the repeated keys of one sort.  A bitmap of their low
+    20 bits picks out their rows and few others; grouping the picked rows by
+    key and dropping the lone ones leaves exactly the colliding multisets.
+    """
+    keys, _, members = _enumerate_rows(np, keyer, k, X)
+    ordered = np.sort(keys)
+    colliding = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
+    del ordered
+    if not len(colliding):
+        return []
+    low = (1 << 20) - 1
+    bitmap = np.zeros(low + 1, dtype=bool)
+    bitmap[colliding & low] = True
+    rows = np.flatnonzero(bitmap[keys & low])
+    rows = rows[np.argsort(keys[rows], kind="stable")]
+    bounds = _run_bounds(np, keys[rows])
+    multisets = members(rows)
+    return [
+        multisets[i:j] for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if j - i > 1
+    ]
+
+
+# ---------------------------------------------------------------------------
 # chunked / parallel execution
 # ---------------------------------------------------------------------------
 
@@ -348,22 +586,25 @@ def _merge_add(parts) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_capacity(k: int, X: int, memory_budget_mb: int) -> None:
+def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool) -> None:
     entries = comb(X + k - 1, k)
-    if entries * _BYTES_PER_TABLE_ENTRY > memory_budget_mb * (1 << 20):
+    if array:
+        needed = entries * _ARRAY_BYTES_PER_MULTISET + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
+    else:
+        needed = entries * _BYTES_PER_TABLE_ENTRY
+    if needed > memory_budget_mb * (1 << 20):
         raise CapacityError(
             f"k={k}, X={X} needs ~{entries} table entries "
-            f"(~{entries * _BYTES_PER_TABLE_ENTRY >> 20} MiB), over the "
-            f"{memory_budget_mb} MiB budget"
+            f"(~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
         )
 
 
 def _validate_args(k: int, X: int, shift: Shift, max_k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > max_k:
         raise ValueError(f"k={k} exceeds the configured maximum {max_k}")
-    if not isinstance(X, int) or X < 1:
+    if isinstance(X, bool) or not isinstance(X, int) or X < 1:
         raise ValueError(f"X must be a positive integer, got {X!r}")
     if not isinstance(shift, (Transcendental, Algebraic, Rational)):
         raise TypeError(f"not a shift: {shift!r}")
@@ -374,14 +615,15 @@ class ProductTable:
     """Frequency table of canonical products over [1, X]^k for one shift.
 
     Values are ordered-tuple multiplicities; their sum is X^k and the sum of
-    their squares is the mean value M.
+    their squares is the mean value M.  The dict backend stores them in a
+    dict, the array backend in a `_SortedFreq`.
     """
 
     k: int
     X: int
     shift: Shift
     _keyer: object
-    _freq: dict
+    _freq: dict | _SortedFreq
 
     def ordered_count(self, nu: CanonicalProduct) -> int:
         """Number of ordered k-tuples in [1, X]^k whose product has canonical form nu."""
@@ -395,10 +637,14 @@ class ProductTable:
         return len(self._freq)
 
     def mean_value(self) -> int:
-        return sum(v * v for v in self._freq.values())
+        if isinstance(self._freq, dict):
+            return sum(v * v for v in self._freq.values())
+        return self._freq.sum_of_squares()
 
     def total_ordered_tuples(self) -> int:
-        return sum(self._freq.values())
+        if isinstance(self._freq, dict):
+            return sum(self._freq.values())
+        return self._freq.total()
 
 
 def build_product_table(
@@ -412,9 +658,14 @@ def build_product_table(
 ) -> ProductTable:
     """Enumerate all multisets once and build the ordered-multiplicity table."""
     _validate_args(k, X, shift, max_k)
-    _check_capacity(k, X, memory_budget_mb)
-    freq = _merge_add(_run_chunks(_weights_chunk, k, X, shift, workers))
-    table = ProductTable(k, X, shift, _keyer_for(k, X, shift), freq)
+    keyer = _keyer_for(k, X, shift)
+    np = _numpy_for(keyer, k, X)
+    _check_capacity(k, X, memory_budget_mb, np is not None)
+    if np is None:
+        freq = _merge_add(_run_chunks(_weights_chunk, k, X, shift, workers))
+    else:
+        freq = _array_table(np, keyer, k, X)
+    table = ProductTable(k, X, shift, keyer, freq)
     if table.total_ordered_tuples() != X**k:
         raise RuntimeError(
             "ordering-weight bookkeeping lost tuples; this is an engine bug"
@@ -623,25 +874,32 @@ def find_nondiagonal_witnesses(
 ) -> list[SolutionPair]:
     """Deduplicated non-diagonal witness pairs, sorted lexicographically.
 
-    Two passes over the multiset space: the first counts multisets per
-    canonical product to find collisions (there are few), the second collects
-    the colliding multisets; each colliding group of r multisets yields
-    C(r, 2) unordered pairs.  Transcendental shifts are legal and return an
-    empty list.
+    The array backend reads the colliding multisets off its one sorted
+    enumeration.  The dict backend makes two passes over the multiset space:
+    the first counts multisets per canonical product to find collisions
+    (there are few), the second collects the colliding multisets.  Each
+    colliding group of r multisets yields C(r, 2) unordered pairs.
+    Transcendental shifts are legal and return an empty list.
     """
     _validate_args(k, X, shift, max_k)
-    _check_capacity(k, X, memory_budget_mb)
-    counts = _merge_add(_run_chunks(_multiset_counts_chunk, k, X, shift, workers))
-    wanted = frozenset(key for key, n in counts.items() if n >= 2)
-    del counts
-    if not wanted:
-        return []
-    groups: dict = {}
-    for part in _run_chunks(_collect_chunk, k, X, shift, workers, extra=(wanted,)):
-        for key, members in part.items():
-            groups.setdefault(key, []).extend(members)
+    keyer = _keyer_for(k, X, shift)
+    np = _numpy_for(keyer, k, X)
+    _check_capacity(k, X, memory_budget_mb, np is not None)
+    if np is not None:
+        groups = _array_groups(np, keyer, k, X)
+    else:
+        counts = _merge_add(_run_chunks(_multiset_counts_chunk, k, X, shift, workers))
+        wanted = frozenset(key for key, n in counts.items() if n >= 2)
+        del counts
+        if not wanted:
+            return []
+        by_key: dict = {}
+        for part in _run_chunks(_collect_chunk, k, X, shift, workers, extra=(wanted,)):
+            for key, members in part.items():
+                by_key.setdefault(key, []).extend(members)
+        groups = by_key.values()
     pairs = []
-    for members in groups.values():
+    for members in groups:
         members.sort()
         for first, second in combinations(members, 2):
             pairs.append(SolutionPair(first, second))

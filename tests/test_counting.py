@@ -122,6 +122,12 @@ class TestCountMeanValue:
         with pytest.raises(ValueError):
             count_mean_value(2, 0, SQRT2)
 
+    def test_rejects_bool_k_and_X(self):
+        for k, X in ((True, 5), (False, 5), (2, True), (2, False)):
+            for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
+                with pytest.raises(ValueError):
+                    engine(k, X, SQRT2)
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             count_mean_value(3, 400, SQRT2, memory_budget_mb=1)
