@@ -6,7 +6,7 @@ and rational shifts theta, and machine-checks the factorization identities
 that explain why irrational shifts leave almost only diagonal solutions.
 """
 
-from .contrast import CONTRAST_CSV_HEADER, ContrastRow, contrast_table, rational_count
+from .contrast import CONTRAST_CSV_HEADER, ContrastRow, contrast_table
 from .counting import (
     COUNT_CSV_HEADER,
     CapacityError,
@@ -95,7 +95,6 @@ __all__ = [
     "norm_identity_check",
     "parse_shift",
     "product_difference",
-    "rational_count",
     "reduce_mod_minpoly",
     "reference_exponent",
     "representation_count",

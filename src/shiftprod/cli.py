@@ -68,7 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
         if with_x:
             p.add_argument("--X", type=int, help="range bound X")
         p.add_argument(
-            "--workers", type=int, default=1, help="parallel workers (dict backend only)"
+            "--workers",
+            type=int,
+            default=1,
+            help="accepted for compatibility; every cell runs in one process",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")

@@ -13,29 +13,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from .counting import (
-    DEFAULT_MEMORY_BUDGET_MB,
-    CountReport,
-    count_mean_value,
-)
-from .shifts import Rational, Shift
+from .counting import DEFAULT_MEMORY_BUDGET_MB, count_mean_value
+from .shifts import Shift
 
 CONTRAST_CSV_HEADER = "X,k,shift_rational_nondiag,shift_algebraic_nondiag"
-
-
-def rational_count(
-    k: int,
-    X: int,
-    p: int,
-    q: int,
-    *,
-    workers: int = 1,
-    memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
-) -> CountReport:
-    """Count report for the rational shift p/q (validated to be in lowest terms)."""
-    return count_mean_value(
-        k, X, Rational(p, q), workers=workers, memory_budget_mb=memory_budget_mb
-    )
 
 
 @dataclasses.dataclass(frozen=True)

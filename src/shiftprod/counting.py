@@ -29,12 +29,17 @@ serves either the count or the witnesses.  Every other cell takes the dict
 backend: one dict update per multiset in arbitrary-precision integers.  It
 is the reference the tests compare the array backend against.
 
-Parallelism.  Only the dict backend is parallel: the multiset space is split
-into contiguous ranges of the first coordinate, each worker fills a partial
-table and the parent merges by addition, which is associative and
-commutative, so reports are identical for any worker count.  Workers <= 1
-runs fully inline.  The array backend always runs in-process, whatever the
-worker count: serially it is faster than the pool is in parallel.
+Both backends enumerate with one walker, `_walk`, which visits every
+non-decreasing prefix of a given length once with the keyer's state of its
+product and the multiplicities that give each multiset's ordering weight.
+The dict backend walks prefixes of k-1 values and loops over the last one,
+with one small visitor per job (ordered weights, multiset counts, collection
+of colliding multisets); the array backend walks prefixes of k-2 values and
+writes the last two at once.  Every cell settles in one process.  The
+`workers` argument is still accepted and validated but changes nothing: a
+process pool over first-coordinate ranges was slower than the serial walk on
+every cell measured, since unpickling and merging its partial tables alone
+took longer than filling the whole table serially.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm, prod
@@ -230,91 +234,84 @@ def _keyer_for(k: int, X: int, shift: Shift):
 # ---------------------------------------------------------------------------
 
 
-def _scan_weights(keyer, k: int, X: int, lo: int, hi: int, table: dict) -> None:
-    """Add ordering-weighted counts for multisets with smallest element in [lo, hi]."""
+def _walk(keyer, X: int, depth: int, visit) -> None:
+    """Call visit(state, prefix, last, den, run) once per non-decreasing prefix.
+
+    prefix runs over the non-decreasing tuples of `depth` values from [1, X]
+    and state is the keyer's state of its product.  The multisets extending
+    prefix are prefix + rest for non-decreasing rest with rest[0] >= last,
+    the prefix's last value (1 for the empty prefix); den is the product of
+    the factorials of the prefix's multiplicities and run the multiplicity
+    of last in it, so a visitor can weigh each multiset by its orderings.
+    """
+    _walk_below(keyer.extend, X, depth, visit, keyer.initial_state(), (), 1, 1, 0)
+
+
+def _walk_below(
+    extend, X: int, depth: int, visit, state, prefix: tuple, last: int, den: int, run: int
+) -> None:
+    # Module-level rather than a closure that calls itself: such a closure is
+    # a reference cycle, which would keep its caller's tables alive after
+    # they are dropped, until the cyclic garbage collector runs.
+    if depth == 0:
+        visit(state, prefix, last, den, run)
+        return
+    depth -= 1
+    _walk_below(
+        extend, X, depth, visit, extend(state, last), prefix + (last,), last,
+        den * (run + 1), run + 1,
+    )
+    for x in range(last + 1, X + 1):
+        _walk_below(extend, X, depth, visit, extend(state, x), prefix + (x,), x, den, 1)
+
+
+def _dict_table(keyer, k: int, X: int) -> dict:
+    """Ordered weight of every canonical product: the dict backend's table."""
+    table: dict = {}
     get = table.get
-    extend = keyer.extend
-    leaf_ab = keyer.leaf_ab
-    state0 = keyer.initial_state()
     kfact = factorial(k)
-    if k == 1:
-        a, b = leaf_ab(state0)
-        for x in range(lo, hi + 1):
+
+    def weigh(state, prefix, last, den, run) -> None:
+        a, b = keyer.leaf_ab(state)
+        key = a * last + b
+        table[key] = get(key, 0) + kfact // (den * (run + 1))
+        w = kfact // den
+        for x in range(last + 1, X + 1):
             key = a * x + b
-            table[key] = get(key, 0) + 1
-        return
+            table[key] = get(key, 0) + w
 
-    def rec(depth: int, state, den: int, prev: int, run: int) -> None:
-        if depth == k - 1:
-            a, b = leaf_ab(state)
-            key = a * prev + b
-            table[key] = get(key, 0) + kfact // (den * (run + 1))
-            w = kfact // den
-            for x in range(prev + 1, X + 1):
-                key = a * x + b
-                table[key] = get(key, 0) + w
-            return
-        rec(depth + 1, extend(state, prev), den * (run + 1), prev, run + 1)
-        for x in range(prev + 1, X + 1):
-            rec(depth + 1, extend(state, x), den, x, 1)
-
-    for x1 in range(lo, hi + 1):
-        rec(1, extend(state0, x1), 1, x1, 1)
+    _walk(keyer, X, k - 1, weigh)
+    return table
 
 
-def _scan_multiset_counts(keyer, k: int, X: int, lo: int, hi: int, table: dict) -> None:
-    """Add one per multiset (not per ordering) to the table."""
-    get = table.get
-    extend = keyer.extend
-    leaf_ab = keyer.leaf_ab
-    state0 = keyer.initial_state()
-    if k == 1:
-        a, b = leaf_ab(state0)
-        for x in range(lo, hi + 1):
+def _dict_colliding_keys(keyer, k: int, X: int) -> frozenset:
+    """The keys of the canonical products of two or more multisets."""
+    counts: dict = {}
+    get = counts.get
+
+    def count(state, prefix, last, den, run) -> None:
+        a, b = keyer.leaf_ab(state)
+        for x in range(last, X + 1):
             key = a * x + b
-            table[key] = get(key, 0) + 1
-        return
+            counts[key] = get(key, 0) + 1
 
-    def rec(depth: int, state, prev: int) -> None:
-        if depth == k - 1:
-            a, b = leaf_ab(state)
-            for x in range(prev, X + 1):
-                key = a * x + b
-                table[key] = get(key, 0) + 1
-            return
-        for x in range(prev, X + 1):
-            rec(depth + 1, extend(state, x), x)
-
-    for x1 in range(lo, hi + 1):
-        rec(1, extend(state0, x1), x1)
+    _walk(keyer, X, k - 1, count)
+    return frozenset(key for key, n in counts.items() if n >= 2)
 
 
-def _scan_collect(keyer, k: int, X: int, lo: int, hi: int, wanted, out: dict) -> None:
-    """Collect the multisets (as sorted tuples) whose key lies in `wanted`."""
-    extend = keyer.extend
-    leaf_ab = keyer.leaf_ab
-    state0 = keyer.initial_state()
-    if k == 1:
-        a, b = leaf_ab(state0)
-        for x in range(lo, hi + 1):
+def _dict_collect(keyer, k: int, X: int, wanted) -> dict:
+    """The multisets, as sorted tuples, of each key in `wanted`."""
+    out: dict = {}
+
+    def collect(state, prefix, last, den, run) -> None:
+        a, b = keyer.leaf_ab(state)
+        for x in range(last, X + 1):
             key = a * x + b
             if key in wanted:
-                out.setdefault(key, []).append((x,))
-        return
+                out.setdefault(key, []).append(prefix + (x,))
 
-    def rec(depth: int, state, prev: int, chosen: tuple) -> None:
-        if depth == k - 1:
-            a, b = leaf_ab(state)
-            for x in range(prev, X + 1):
-                key = a * x + b
-                if key in wanted:
-                    out.setdefault(key, []).append(chosen + (x,))
-            return
-        for x in range(prev, X + 1):
-            rec(depth + 1, extend(state, x), x, chosen + (x,))
-
-    for x1 in range(lo, hi + 1):
-        rec(1, extend(state0, x1), x1, (x1,))
+    _walk(keyer, X, k - 1, collect)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +373,7 @@ class _SortedFreq:
 def _enumerate_rows(np, keyer, k: int, X: int):
     """Key and ordering weight of every multiset (k >= 2), one row each.
 
-    The first k-2 coordinates recurse as in `_scan_weights`.  Below them the
+    `_walk` visits each prefix of the first k-2 coordinates.  Below them the
     key is a*x*y + b*(x + y) + c in the last two coordinates x <= y, so each
     prefix writes the rows of all its pairs at once from a table of the pairs
     of [1, X] in lexicographic order, where the pairs with x >= v start at
@@ -397,7 +394,6 @@ def _enumerate_rows(np, keyer, k: int, X: int):
     for v in range(1, X + 1):
         first[v + 1] = first[v] + X + 1 - v
     diagonal = np.array(first[1:X + 1])
-    extend = keyer.extend
     pair_abc = keyer.pair_abc
     block_start: list[int] = []
     block_first: list[int] = []
@@ -423,20 +419,7 @@ def _enumerate_rows(np, keyer, k: int, X: int):
         block_first.append(first[lo])
         block_prefix.append(prefix)
 
-    def rec(depth: int, state, den: int, prev: int, run: int, prefix: tuple) -> None:
-        if depth == k - 2:
-            block(state, prefix, prev, den, run)
-            return
-        rec(depth + 1, extend(state, prev), den * (run + 1), prev, run + 1, prefix + (prev,))
-        for x in range(prev + 1, X + 1):
-            rec(depth + 1, extend(state, x), den, x, 1, prefix + (x,))
-
-    state0 = keyer.initial_state()
-    if k == 2:
-        block(state0, (), 1, 1, 0)
-    else:
-        for x1 in range(1, X + 1):
-            rec(1, extend(state0, x1), 1, x1, 1, (x1,))
+    _walk(keyer, X, k - 2, block)
     if end != n:
         raise RuntimeError("array enumeration missed multisets; this is an engine bug")
     starts = np.array(block_start)
@@ -508,80 +491,6 @@ def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# chunked / parallel execution
-# ---------------------------------------------------------------------------
-
-
-def _chunk_ranges(k: int, X: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Split [1, X] into contiguous first-coordinate ranges of ~equal leaf mass."""
-    n_chunks = max(1, min(n_chunks, X))
-    total = comb(X + k - 1, k)
-    target = total / n_chunks
-    ranges = []
-    lo = 1
-    acc = 0
-    for v in range(1, X + 1):
-        acc += comb(X - v + k - 1, k - 1)
-        if acc >= target * (len(ranges) + 1) and lo <= v and len(ranges) < n_chunks - 1:
-            ranges.append((lo, v))
-            lo = v + 1
-    if lo <= X:
-        ranges.append((lo, X))
-    return ranges
-
-
-def _weights_chunk(args) -> dict:
-    k, X, shift, lo, hi = args
-    table: dict = {}
-    _scan_weights(_keyer_for(k, X, shift), k, X, lo, hi, table)
-    return table
-
-
-def _multiset_counts_chunk(args) -> dict:
-    k, X, shift, lo, hi = args
-    table: dict = {}
-    _scan_multiset_counts(_keyer_for(k, X, shift), k, X, lo, hi, table)
-    return table
-
-
-def _collect_chunk(args) -> dict:
-    k, X, shift, lo, hi, wanted = args
-    out: dict = {}
-    _scan_collect(_keyer_for(k, X, shift), k, X, lo, hi, wanted, out)
-    return out
-
-
-def _run_chunks(task, k: int, X: int, shift: Shift, workers: int, extra: tuple = ()):
-    """Run a chunk task over first-coordinate ranges; yield results in range order."""
-    if workers <= 1:
-        yield task((k, X, shift, 1, X) + extra)
-        return
-    ranges = _chunk_ranges(k, X, workers * 4)
-    if len(ranges) == 1:
-        yield task((k, X, shift, 1, X) + extra)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(task, (k, X, shift, lo, hi) + extra) for lo, hi in ranges
-        ]
-        for fut in futures:
-            yield fut.result()
-
-
-def _merge_add(parts) -> dict:
-    merged: dict = {}
-    get = merged.get
-    for part in parts:
-        if not merged:
-            merged = part
-            get = merged.get
-            continue
-        for key, v in part.items():
-            merged[key] = get(key, 0) + v
-    return merged
-
-
-# ---------------------------------------------------------------------------
 # public engine surface
 # ---------------------------------------------------------------------------
 
@@ -599,15 +508,23 @@ def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool) -> None:
         )
 
 
-def _validate_args(k: int, X: int, shift: Shift, max_k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+def _require_int(name: str, value, least: int) -> None:
+    # bool is an int subclass, but True is no count
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _validate_args(
+    k: int, X: int, shift: Shift, max_k: int, workers: int, memory_budget_mb: int
+) -> None:
+    _require_int("k", k, 1)
     if k > max_k:
         raise ValueError(f"k={k} exceeds the configured maximum {max_k}")
-    if isinstance(X, bool) or not isinstance(X, int) or X < 1:
-        raise ValueError(f"X must be a positive integer, got {X!r}")
+    _require_int("X", X, 1)
     if not isinstance(shift, (Transcendental, Algebraic, Rational)):
         raise TypeError(f"not a shift: {shift!r}")
+    _require_int("workers", workers, 1)
+    _require_int("memory budget (MiB)", memory_budget_mb, 1)
 
 
 @dataclasses.dataclass
@@ -656,13 +573,17 @@ def build_product_table(
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
     max_k: int = DEFAULT_MAX_K,
 ) -> ProductTable:
-    """Enumerate all multisets once and build the ordered-multiplicity table."""
-    _validate_args(k, X, shift, max_k)
+    """Enumerate all multisets once and build the ordered-multiplicity table.
+
+    `workers` is accepted for compatibility and must be a positive integer;
+    every cell is settled in this process.
+    """
+    _validate_args(k, X, shift, max_k, workers, memory_budget_mb)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(keyer, k, X)
     _check_capacity(k, X, memory_budget_mb, np is not None)
     if np is None:
-        freq = _merge_add(_run_chunks(_weights_chunk, k, X, shift, workers))
+        freq = _dict_table(keyer, k, X)
     else:
         freq = _array_table(np, keyer, k, X)
     table = ProductTable(k, X, shift, keyer, freq)
@@ -879,25 +800,22 @@ def find_nondiagonal_witnesses(
     the first counts multisets per canonical product to find collisions
     (there are few), the second collects the colliding multisets.  Each
     colliding group of r multisets yields C(r, 2) unordered pairs.
-    Transcendental shifts are legal and return an empty list.
+    Transcendental shifts are legal and return an empty list.  `limit`, if
+    given, keeps the first `limit` pairs and must not be negative.
     """
-    _validate_args(k, X, shift, max_k)
+    _validate_args(k, X, shift, max_k, workers, memory_budget_mb)
+    if limit is not None:
+        _require_int("limit", limit, 0)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(keyer, k, X)
     _check_capacity(k, X, memory_budget_mb, np is not None)
     if np is not None:
         groups = _array_groups(np, keyer, k, X)
     else:
-        counts = _merge_add(_run_chunks(_multiset_counts_chunk, k, X, shift, workers))
-        wanted = frozenset(key for key, n in counts.items() if n >= 2)
-        del counts
+        wanted = _dict_colliding_keys(keyer, k, X)
         if not wanted:
             return []
-        by_key: dict = {}
-        for part in _run_chunks(_collect_chunk, k, X, shift, workers, extra=(wanted,)):
-            for key, members in part.items():
-                by_key.setdefault(key, []).extend(members)
-        groups = by_key.values()
+        groups = _dict_collect(keyer, k, X, wanted).values()
     pairs = []
     for members in groups:
         members.sort()

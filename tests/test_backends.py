@@ -193,7 +193,8 @@ def test_numpy_stays_unimported_off_the_array_backend():
         """
         import sys
         import shiftprod.cli
-        assert "numpy" not in sys.modules, "import shiftprod.cli loaded numpy"
+        for name in ("numpy", "concurrent.futures.process", "multiprocessing"):
+            assert name not in sys.modules, f"import shiftprod.cli loaded {name}"
         from shiftprod import Rational, Transcendental, count_mean_value
         count_mean_value(2, 400, Rational(1, 2))
         assert "numpy" not in sys.modules, "a rat-k2 cell loaded numpy"

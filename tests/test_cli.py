@@ -197,6 +197,27 @@ class TestErrors:
         )
         assert code == 1 and "strictly increasing" in err
 
+    def test_negative_limit_is_usage_error(self, capsys):
+        cell = ("witness", "--k", "2", "--X", "8", "--shift", "rational:1/2")
+        code, out, _ = run(capsys, *cell)
+        assert code == 0 and len(json.loads(out)) == 1
+        code, out, err = run(capsys, *cell, "--limit", "-1")
+        assert code == 1 and out == "" and "limit" in err
+
+    def test_bad_workers_and_memory_budget_are_usage_errors(self, capsys):
+        for command in ("count", "witness"):
+            for flag, value in (
+                ("--workers", "-3"),
+                ("--workers", "0"),
+                ("--memory-budget-mb", "-5"),
+                ("--memory-budget-mb", "0"),
+            ):
+                code, out, _ = run(
+                    capsys, command, "--k", "2", "--X", "8", "--shift", "rational:1/2",
+                    flag, value,
+                )
+                assert code == 1 and out == "", (command, flag, value)
+
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(
             capsys, "count", "--k", "3", "--X", "400", "--shift", "minpoly:-2,0,1",

@@ -11,7 +11,7 @@ from shiftprod import (
     MinimalPolynomial,
     Rational,
     contrast_table,
-    rational_count,
+    count_mean_value,
     shifted_product,
 )
 
@@ -22,29 +22,29 @@ SQRT2 = Algebraic(MinimalPolynomial([-2, 0, 1]))
 
 class TestRationalCount:
     def test_half_shift_witness_cell(self):
-        r = rational_count(2, 7, 1, 2)
+        r = count_mean_value(2, 7, Rational(1, 2))
         assert r.nondiagonal >= 8
         assert r.mean_value == oracles.mean_value(2, 7, Rational(1, 2))
 
     def test_integer_shift_small_no_collisions(self):
-        assert rational_count(2, 3, 1, 1).nondiagonal == 0
+        assert count_mean_value(2, 3, Rational(1, 1)).nondiagonal == 0
 
     def test_k1_trivial(self):
-        r = rational_count(1, 9, 1, 2)
+        r = count_mean_value(1, 9, Rational(1, 2))
         assert r.mean_value == r.diagonal == 9
 
     def test_not_reduced_rejected(self):
         with pytest.raises(ValueError):
-            rational_count(2, 7, 2, 4)
+            count_mean_value(2, 7, Rational(2, 4))
 
     def test_unit_shift_collides_from_five(self):
         # (1+1)(5+1) = (2+1)(3+1): non-diagonal solutions exist for all X >= 5
         for X in range(5, 13):
-            assert rational_count(2, X, 1, 1).nondiagonal > 0
-        assert rational_count(2, 4, 1, 1).nondiagonal == 0
+            assert count_mean_value(2, X, Rational(1, 1)).nondiagonal > 0
+        assert count_mean_value(2, 4, Rational(1, 1)).nondiagonal == 0
 
     def test_monotone_in_x(self):
-        values = [rational_count(2, X, 1, 2).nondiagonal for X in range(2, 26)]
+        values = [count_mean_value(2, X, Rational(1, 2)).nondiagonal for X in range(2, 26)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_canonical_product_is_plain_multiplication(self):

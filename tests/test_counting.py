@@ -1,7 +1,9 @@
 """Counting engine: frequency tables, diagonal counts, witnesses, determinism."""
 
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -132,6 +134,14 @@ class TestCountMeanValue:
         with pytest.raises(CapacityError):
             count_mean_value(3, 400, SQRT2, memory_budget_mb=1)
 
+    def test_rejects_bad_workers_and_memory_budget(self):
+        for bad in (0, -3, True, 2.0):
+            for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
+                with pytest.raises(ValueError):
+                    engine(2, 5, SQRT2, workers=bad)
+                with pytest.raises(ValueError):
+                    engine(2, 5, SQRT2, memory_budget_mb=bad)
+
 
 class TestDiagonalCount:
     def test_small_closed_forms(self):
@@ -188,6 +198,29 @@ class TestWitnesses:
         pairs = find_nondiagonal_witnesses(2, 30, HALF)
         assert pairs == sorted(pairs, key=lambda p: (p.x, p.y))
         assert find_nondiagonal_witnesses(2, 30, HALF, limit=3) == pairs[:3]
+
+    def test_negative_limit_rejected(self):
+        assert len(find_nondiagonal_witnesses(2, 8, HALF)) == 1
+        assert find_nondiagonal_witnesses(2, 8, HALF, limit=0) == []
+        for bad in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                find_nondiagonal_witnesses(2, 8, HALF, limit=bad)
+
+    def test_tables_freed_without_cyclic_gc(self):
+        # reference counting alone must free every table a call drops, such
+        # as the witness search's pass-1 counts, or they outlive the call
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for settle in (count_mean_value, find_nondiagonal_witnesses):
+                before = tracemalloc.get_traced_memory()[0]
+                settle(4, 40, Transcendental())
+                assert tracemalloc.get_traced_memory()[0] - before < 1 << 20, settle
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
 
 
 class TestSolutionPair:
