@@ -10,27 +10,32 @@ permutation of x) comes from an independent closed-form partition sum, so
 M and T cross-check each other and M - T is the non-diagonal count.
 
 Performance notes.  Canonical coordinates of the product are linear in the
-coefficient vector of prod(t + x_i), and that vector is affine in the last
-factor once the first k-1 factors are fixed.  Folding the coordinates into a
-single integer by a (signed) mixed-radix encoding with per-coordinate bounds
-keeps that affine structure, so the innermost loop is `key = a*x + b`.  The
-encoding is injective within the bounds box and is used only inside the
-engine (public canonical forms are exact vectors).
+coefficient vector of prod(t + x_i).  One encoder, `_PolyKeyer`, folds them
+into a single integer by a (signed) mixed-radix encoding with per-coordinate
+bounds, which keeps them linear: a coefficient vector c has the key
+sum_j c_j * E_j.  A rational shift p/q is its degree-1 case, reduced modulo
+q*t - p, and its key is its canonical integer prod(q*x_i + p).  The encoding
+is injective within the bounds box and is used only inside the engine
+(public canonical forms are exact vectors).  For a prefix product P the
+walker carries the keys K_i = key(P * t^i), which start at E_i; a factor
+(t + x) maps K_i to K_(i+1) + x*K_i, so with all factors but the last fixed
+the innermost loop is `key = a*x + b`, where (a, b) = (K_0, K_1).
 
 Two backends fill the table.  The array backend settles a cell when numpy
 imports, k >= 2, the cell has at least _ARRAY_MIN_MULTISETS multisets
 (smaller cells do not repay the numpy import) and the keyer's bounds prove
 that every key and partial key fits in int64.  With the first k-2 factors
-fixed the key is bilinear in the last two, a*x*y + b*(x + y) + c, so it
-writes the keys of all their pairs at once into one int64 array and sorts it
-once.  Runs of equal keys give the distinct products and their ordered
-weights, and repeated keys the colliding multisets, so one enumeration
-serves either the count or the witnesses.  Every other cell takes the dict
-backend: one dict update per multiset in arbitrary-precision integers.  It
-is the reference the tests compare the array backend against.
+fixed the key is bilinear in the last two, a*x*y + b*(x + y) + c with
+(a, b, c) = (K_0, K_1, K_2), so it writes the keys of all their pairs at
+once into one int64 array and sorts it once.  Runs of equal keys give the
+distinct products and their ordered weights, and repeated keys the
+colliding multisets, so one enumeration serves either the count or the
+witnesses.  Every other cell takes the dict backend: one dict update per
+multiset in arbitrary-precision integers.  It is the reference the tests
+compare the array backend against.
 
 Both backends enumerate with one walker, `_walk`, which visits every
-non-decreasing prefix of a given length once with the keyer's state of its
+non-decreasing prefix of a given length once with the keys K_i of its
 product and the multiplicities that give each multiset's ordering weight.
 The dict backend walks prefixes of k-1 values and loops over the last one,
 with one small visitor per job (ordered weights, multiset counts, collection
@@ -53,7 +58,8 @@ from math import comb, factorial, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from .polynomials import MinimalPolynomial
-from .shifts import Algebraic, CanonicalProduct, Rational, Shift, Transcendental, format_shift
+from .shifts import Algebraic, CanonicalProduct, Rational, Shift, Transcendental
+from .shifts import format_shift, minimal_polynomial_for
 
 DEFAULT_MAX_K = 6
 DEFAULT_MEMORY_BUDGET_MB = 2048
@@ -68,13 +74,17 @@ _ARRAY_MIN_MULTISETS = 1 << 20
 # the same way; its guard keeps 96 B.
 _ARRAY_BYTES_PER_MULTISET = 36
 _ARRAY_BYTES_PER_PAIR = 32
+# Peak bytes per witness pair of find_nondiagonal_witnesses, by tracemalloc on
+# either backend: 273 at k=2, 290 at k=3, 302 at k=4 and 336 at k=6, since
+# every pair is sorted as a tuple before the kept ones become SolutionPairs.
+_BYTES_PER_WITNESS_PAIR = 340
 _INT64_LIMIT = 1 << 63
 
 COUNT_CSV_HEADER = "k,X,shift,M,T,nondiag,distinct_nu,elapsed_ms"
 
 
 class CapacityError(RuntimeError):
-    """The frequency table for (k, X) would exceed the configured memory budget."""
+    """The frequency table or witness pairs for (k, X) would exceed the memory budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +112,14 @@ def _reduction_rows(m: MinimalPolynomial, k: int) -> list[tuple[Fraction, ...]]:
 
 
 class _PolyKeyer:
-    """Single-integer keys for sigma-vector and reduced-vector canonical forms.
+    """Single-integer keys for every canonical form: one shift, one encoder.
 
-    Built from integer rows S[j] (the scaled contribution of the t^j
-    coefficient of the product polynomial to each canonical coordinate) plus
+    Built from rows S[j] (the contribution of the t^j coefficient of the
+    product polynomial to each canonical coordinate, scaled to integers) plus
     exact per-coordinate bounds; the key of a product with coefficient vector
-    c is sum_j c_j * E_j where E_j folds S[j] through the radix strides.
+    c is sum_j c_j * E_j, where E_j folds S[j] through the radix strides.  A
+    rational p/q is the degree-1 case: its rows reduce modulo q*t - p, so
+    E_j = p^j * q^(k-j) and the key is prod(q*x_i + p), its canonical form.
     """
 
     __slots__ = ("k", "rows_weight", "scale", "bounds", "strides", "dims", "fits_int64")
@@ -129,50 +141,23 @@ class _PolyKeyer:
             strides.append(strides[-1] * (2 * bounds[i] + 1))
         self.bounds = bounds
         self.strides = strides
-        # The array backend's terms a*x*y, b*(x + y) and c (see pair_abc), their
-        # partial sums and the key encode coefficient vectors between 0 and the
-        # product's own, so within sig_bound: each is at most (box - 1)/2.
-        self.fits_int64 = strides[-1] * (2 * bounds[-1] + 1) < _INT64_LIMIT
+        # Every walker key K_i, every partial sum of _enumerate_rows and every
+        # key encodes a non-negative coefficient vector at most that of a
+        # product of k factors (t + X), so its magnitude is at most (box - 1)/2.
+        box = strides[-1] * (2 * bounds[-1] + 1)
+        self.fits_int64 = (box - 1) // 2 < _INT64_LIMIT
         self.rows_weight = tuple(
             sum(srows[j][i] * strides[i] for i in range(dims)) for j in range(k + 1)
         )
 
-    def initial_state(self) -> tuple[int, ...]:
-        return (1,)
-
-    def extend(self, state: tuple[int, ...], x: int) -> tuple[int, ...]:
-        # coefficients of state poly times (t + x); state stays monic
-        n = len(state)
-        out = [state[0] * x]
-        for j in range(1, n):
-            out.append(state[j - 1] + state[j] * x)
-        out.append(1)
-        return tuple(out)
-
-    def leaf_ab(self, state: tuple[int, ...]) -> tuple[int, int]:
-        E = self.rows_weight
-        a = 0
-        b = 0
-        for j, s in enumerate(state):
-            a += s * E[j]
-            b += s * E[j + 1]
-        return a, b
-
-    def pair_abc(self, state: tuple[int, ...]) -> tuple[int, int, int]:
-        # the key of state * (t + x) * (t + y) is a*x*y + b*(x + y) + c
-        E = self.rows_weight
-        a = 0
-        b = 0
-        c = 0
-        for j, s in enumerate(state):
-            a += s * E[j]
-            b += s * E[j + 1]
-            c += s * E[j + 2]
-        return a, b, c
-
     def encode(self, nu: CanonicalProduct) -> Optional[int]:
         """Table key of a public canonical form, or None if unrepresentable."""
-        if not isinstance(nu.coords, tuple) or len(nu.coords) != self.dims:
+        if isinstance(nu.coords, int):
+            # a rational's coordinate prod(q*x_i + p) is its key already
+            if self.dims != 1 or abs(nu.coords) > self.bounds[0]:
+                return None
+            return nu.coords
+        if len(nu.coords) != self.dims:
             return None
         key = 0
         for coord, bound, stride in zip(nu.coords, self.bounds, self.strides):
@@ -184,37 +169,7 @@ class _PolyKeyer:
         return key
 
 
-class _RationalKeyer:
-    """Keys for rational shifts: the integer product of (q*x + p) itself."""
-
-    __slots__ = ("p", "q", "fits_int64")
-
-    def __init__(self, p: int, q: int, k: int, X: int):
-        self.p = p
-        self.q = q
-        # A pair_abc state is a product of k-2 factors |q*x + p| <= q*X + |p|,
-        # and a*x*y, b*(x + y), their sum and the key are each at most |state|
-        # times (q*X + |p|)^2 in magnitude.
-        self.fits_int64 = (q * X + abs(p)) ** k < _INT64_LIMIT
-
-    def initial_state(self) -> int:
-        return 1
-
-    def extend(self, state: int, x: int) -> int:
-        return state * (self.q * x + self.p)
-
-    def leaf_ab(self, state: int) -> tuple[int, int]:
-        return state * self.q, state * self.p
-
-    def pair_abc(self, state: int) -> tuple[int, int, int]:
-        q, p = self.q, self.p
-        return state * q * q, state * q * p, state * p * p
-
-    def encode(self, nu: CanonicalProduct) -> Optional[int]:
-        return nu.coords if isinstance(nu.coords, int) else None
-
-
-def _keyer_for(k: int, X: int, shift: Shift):
+def _keyer_for(k: int, X: int, shift: Shift) -> _PolyKeyer:
     if isinstance(shift, Transcendental):
         # canonical coordinate i is sigma_{i+1}, the t^(k-1-i) coefficient of
         # the product polynomial; the monic t^k coefficient carries nothing
@@ -222,11 +177,8 @@ def _keyer_for(k: int, X: int, shift: Shift):
             tuple(Fraction(int(i == k - 1 - j)) for i in range(k)) for j in range(k)
         ] + [tuple(Fraction(0) for _ in range(k))]
         return _PolyKeyer(k, X, rows, k)
-    if isinstance(shift, Algebraic):
-        return _PolyKeyer(k, X, _reduction_rows(shift.minpoly, k), shift.degree)
-    if isinstance(shift, Rational):
-        return _RationalKeyer(shift.p, shift.q, k, X)
-    raise TypeError(f"not a shift: {shift!r}")
+    m = minimal_polynomial_for(shift)
+    return _PolyKeyer(k, X, _reduction_rows(m, k), m.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +186,35 @@ def _keyer_for(k: int, X: int, shift: Shift):
 # ---------------------------------------------------------------------------
 
 
-def _walk(keyer, X: int, depth: int, visit) -> None:
+def _walk(keyer: _PolyKeyer, X: int, depth: int, visit) -> None:
     """Call visit(state, prefix, last, den, run) once per non-decreasing prefix.
 
     prefix runs over the non-decreasing tuples of `depth` values from [1, X]
-    and state is the keyer's state of its product.  The multisets extending
-    prefix are prefix + rest for non-decreasing rest with rest[0] >= last,
-    the prefix's last value (1 for the empty prefix); den is the product of
-    the factorials of the prefix's multiplicities and run the multiplicity
-    of last in it, so a visitor can weigh each multiset by its orderings.
+    and state is the tuple of keys K_i = key(P * t^i), i = 0..k - depth, of
+    its product P: the keys of a multiset prefix + (x,) are K_1 + x*K_0, and
+    of prefix + (x, y) are K_2 + (x + y)*K_1 + x*y*K_0.  The multisets
+    extending prefix are prefix + rest for non-decreasing rest with
+    rest[0] >= last, the prefix's last value (1 for the empty prefix); den is
+    the product of the factorials of the prefix's multiplicities and run the
+    multiplicity of last in it, so a visitor can weigh each multiset by its
+    orderings.
     """
-    _walk_below(keyer.extend, X, depth, visit, keyer.initial_state(), (), 1, 1, 0)
+    _walk_below(X, depth, visit, keyer.rows_weight, (), 1, 1, 0)
+
+
+def _extend(keys: tuple, x: int) -> tuple:
+    # (t + x) * P * t^i = P * t^(i+1) + x * P * t^i, and key is linear
+    rest = iter(keys)
+    low = next(rest)
+    out = []
+    for high in rest:
+        out.append(high + x * low)
+        low = high
+    return tuple(out)
 
 
 def _walk_below(
-    extend, X: int, depth: int, visit, state, prefix: tuple, last: int, den: int, run: int
+    X: int, depth: int, visit, state: tuple, prefix: tuple, last: int, den: int, run: int
 ) -> None:
     # Module-level rather than a closure that calls itself: such a closure is
     # a reference cycle, which would keep its caller's tables alive after
@@ -258,11 +224,11 @@ def _walk_below(
         return
     depth -= 1
     _walk_below(
-        extend, X, depth, visit, extend(state, last), prefix + (last,), last,
+        X, depth, visit, _extend(state, last), prefix + (last,), last,
         den * (run + 1), run + 1,
     )
     for x in range(last + 1, X + 1):
-        _walk_below(extend, X, depth, visit, extend(state, x), prefix + (x,), x, den, 1)
+        _walk_below(X, depth, visit, _extend(state, x), prefix + (x,), x, den, 1)
 
 
 def _dict_table(keyer, k: int, X: int) -> dict:
@@ -272,7 +238,7 @@ def _dict_table(keyer, k: int, X: int) -> dict:
     kfact = factorial(k)
 
     def weigh(state, prefix, last, den, run) -> None:
-        a, b = keyer.leaf_ab(state)
+        a, b = state
         key = a * last + b
         table[key] = get(key, 0) + kfact // (den * (run + 1))
         w = kfact // den
@@ -290,7 +256,7 @@ def _dict_colliding_keys(keyer, k: int, X: int) -> frozenset:
     get = counts.get
 
     def count(state, prefix, last, den, run) -> None:
-        a, b = keyer.leaf_ab(state)
+        a, b = state
         for x in range(last, X + 1):
             key = a * x + b
             counts[key] = get(key, 0) + 1
@@ -304,7 +270,7 @@ def _dict_collect(keyer, k: int, X: int, wanted) -> dict:
     out: dict = {}
 
     def collect(state, prefix, last, den, run) -> None:
-        a, b = keyer.leaf_ab(state)
+        a, b = state
         for x in range(last, X + 1):
             key = a * x + b
             if key in wanted:
@@ -394,7 +360,6 @@ def _enumerate_rows(np, keyer, k: int, X: int):
     for v in range(1, X + 1):
         first[v + 1] = first[v] + X + 1 - v
     diagonal = np.array(first[1:X + 1])
-    pair_abc = keyer.pair_abc
     block_start: list[int] = []
     block_first: list[int] = []
     block_prefix: list[tuple] = []
@@ -405,7 +370,7 @@ def _enumerate_rows(np, keyer, k: int, X: int):
         nonlocal end
         start = end
         end = start + first[X + 1] - first[lo]
-        a, b, c = pair_abc(state)
+        a, b, c = state
         out = keys[start:end]
         np.multiply(pair_product[first[lo]:], a, out=out)
         out += pair_sum[first[lo]:] * b
@@ -514,12 +479,10 @@ def _require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _validate_args(
-    k: int, X: int, shift: Shift, max_k: int, workers: int, memory_budget_mb: int
-) -> None:
+def _validate_args(k: int, X: int, shift: Shift, workers: int, memory_budget_mb: int) -> None:
     _require_int("k", k, 1)
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds the configured maximum {max_k}")
+    if k > DEFAULT_MAX_K:
+        raise ValueError(f"k={k} exceeds the configured maximum {DEFAULT_MAX_K}")
     _require_int("X", X, 1)
     if not isinstance(shift, (Transcendental, Algebraic, Rational)):
         raise TypeError(f"not a shift: {shift!r}")
@@ -571,14 +534,13 @@ def build_product_table(
     *,
     workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
-    max_k: int = DEFAULT_MAX_K,
 ) -> ProductTable:
     """Enumerate all multisets once and build the ordered-multiplicity table.
 
     `workers` is accepted for compatibility and must be a positive integer;
     every cell is settled in this process.
     """
-    _validate_args(k, X, shift, max_k, workers, memory_budget_mb)
+    _validate_args(k, X, shift, workers, memory_budget_mb)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(keyer, k, X)
     _check_capacity(k, X, memory_budget_mb, np is not None)
@@ -657,13 +619,10 @@ def count_mean_value(
     *,
     workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
-    max_k: int = DEFAULT_MAX_K,
 ) -> CountReport:
     """Exact mean value M, diagonal count T, and distinct-product count at (k, X)."""
     t0 = time.perf_counter()
-    table = build_product_table(
-        k, X, shift, workers=workers, memory_budget_mb=memory_budget_mb, max_k=max_k
-    )
+    table = build_product_table(k, X, shift, workers=workers, memory_budget_mb=memory_budget_mb)
     report = CountReport(
         k=k,
         X=X,
@@ -791,7 +750,6 @@ def find_nondiagonal_witnesses(
     limit: Optional[int] = None,
     workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
-    max_k: int = DEFAULT_MAX_K,
 ) -> list[SolutionPair]:
     """Deduplicated non-diagonal witness pairs, sorted lexicographically.
 
@@ -799,11 +757,12 @@ def find_nondiagonal_witnesses(
     enumeration.  The dict backend makes two passes over the multiset space:
     the first counts multisets per canonical product to find collisions
     (there are few), the second collects the colliding multisets.  Each
-    colliding group of r multisets yields C(r, 2) unordered pairs.
+    colliding group of r multisets yields C(r, 2) unordered pairs, and
+    CapacityError is raised if they would not fit the memory budget.
     Transcendental shifts are legal and return an empty list.  `limit`, if
     given, keeps the first `limit` pairs and must not be negative.
     """
-    _validate_args(k, X, shift, max_k, workers, memory_budget_mb)
+    _validate_args(k, X, shift, workers, memory_budget_mb)
     if limit is not None:
         _require_int("limit", limit, 0)
     keyer = _keyer_for(k, X, shift)
@@ -816,12 +775,14 @@ def find_nondiagonal_witnesses(
         if not wanted:
             return []
         groups = _dict_collect(keyer, k, X, wanted).values()
-    pairs = []
-    for members in groups:
-        members.sort()
-        for first, second in combinations(members, 2):
-            pairs.append(SolutionPair(first, second))
-    pairs.sort(key=lambda p: (p.x, p.y))
-    if limit is not None:
-        pairs = pairs[:limit]
-    return pairs
+    npairs = sum(comb(len(members), 2) for members in groups)
+    needed = npairs * _BYTES_PER_WITNESS_PAIR
+    if needed > memory_budget_mb * (1 << 20):
+        raise CapacityError(
+            f"k={k}, X={X} has {npairs} witness pairs "
+            f"(~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
+        )
+    # members are sorted tuples, so each (first, second) is already in the
+    # order a SolutionPair stores; only the kept pairs become SolutionPairs
+    pairs = sorted(pair for members in groups for pair in combinations(sorted(members), 2))
+    return [SolutionPair(x, y) for x, y in pairs[:limit]]

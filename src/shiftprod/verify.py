@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .counting import CountReport, SolutionPair
 from .polynomials import MinimalPolynomial, Poly, norm_factor, shift_product_poly
-from .shifts import Shift
+from .shifts import Shift, Transcendental, minimal_polynomial_for
 
 
 class NotASolutionError(ValueError):
@@ -255,10 +255,6 @@ def reference_exponent(k: int, shift: Shift) -> Optional[int]:
     transcendental shifts admit no non-diagonal solutions at all, so there is
     no reference exponent.
     """
-    from .shifts import Algebraic, Rational
-
-    if isinstance(shift, Algebraic):
-        return k - shift.degree + 1
-    if isinstance(shift, Rational):
-        return k  # d = 1
-    return None
+    if isinstance(shift, Transcendental):
+        return None
+    return k - minimal_polynomial_for(shift).degree + 1

@@ -105,13 +105,14 @@ def test_keys_alike_in_their_low_bits(array_runs):
 
 
 def test_int64_edge_transcendental_k4(array_runs):
-    keyers = {X: counting._keyer_for(4, X, TRANS) for X in (37, 38)}
+    # the largest key magnitude (box - 1)/2 must fit in int64, not the box
+    keyers = {X: counting._keyer_for(4, X, TRANS) for X in (40, 41)}
     box = {X: kr.strides[-1] * (2 * kr.bounds[-1] + 1) for X, kr in keyers.items()}
-    assert box[37] < 2**63 <= box[38]
-    assert_backends_agree(array_runs, [(4, 37, TRANS)])
-    report = count_mean_value(4, 38, TRANS)
+    assert box[40] >= 2**63 and (box[40] - 1) // 2 < 2**63 <= (box[41] - 1) // 2
+    assert_backends_agree(array_runs, [(4, 40, TRANS)])
+    report = count_mean_value(4, 41, TRANS)
     assert report.mean_value == report.diagonal
-    assert array_runs == [(4, 37)] * 2, "a key box over int64 must take the dict backend"
+    assert array_runs == [(4, 40)] * 2, "keys over int64 must take the dict backend"
 
 
 def test_int64_edge_rational(array_runs):

@@ -225,6 +225,13 @@ class TestErrors:
         )
         assert code == 2 and "budget" in err
 
+    def test_witness_pairs_over_budget_exit_code(self, capsys):
+        cell = ("--k", "3", "--X", "100", "--shift", "rational:1/2", "--memory-budget-mb", "32")
+        code, _, _ = run(capsys, "count", *cell)
+        assert code == 0
+        code, out, err = run(capsys, "witness", *cell)
+        assert code == 2 and out == "" and "witness pairs" in err
+
     def test_reducible_minpoly_rejected(self, capsys):
         code, _, err = run(
             capsys, "count", "--k", "2", "--X", "5", "--shift", "minpoly:-1,0,1"

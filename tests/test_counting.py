@@ -4,6 +4,7 @@ import gc
 import json
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -21,9 +22,12 @@ from shiftprod import (
     diagonal_count_exact,
     elementary_symmetric,
     find_nondiagonal_witnesses,
+    format_shift,
+    parse_shift,
     representation_count,
     shifted_product,
 )
+from shiftprod import counting
 
 rng = random.Random(97)
 
@@ -124,6 +128,12 @@ class TestCountMeanValue:
         with pytest.raises(ValueError):
             count_mean_value(2, 0, SQRT2)
 
+    def test_rejects_k_over_the_maximum(self):
+        k = counting.DEFAULT_MAX_K + 1
+        for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
+            with pytest.raises(ValueError, match="maximum"):
+                engine(k, 2, SQRT2)
+
     def test_rejects_bool_k_and_X(self):
         for k, X in ((True, 5), (False, 5), (2, True), (2, False)):
             for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
@@ -199,6 +209,26 @@ class TestWitnesses:
         assert pairs == sorted(pairs, key=lambda p: (p.x, p.y))
         assert find_nondiagonal_witnesses(2, 30, HALF, limit=3) == pairs[:3]
 
+    def test_limit_builds_only_the_kept_pairs(self, monkeypatch):
+        first = find_nondiagonal_witnesses(3, 30, HALF)[0]
+        built = []
+        post_init = SolutionPair.__post_init__
+
+        def spy(pair):
+            built.append(pair)
+            post_init(pair)
+
+        monkeypatch.setattr(SolutionPair, "__post_init__", spy)
+        assert find_nondiagonal_witnesses(3, 30, HALF, limit=1) == [first]
+        assert len(built) == 1
+
+    def test_pairs_over_the_memory_budget(self):
+        # 171,700 multisets fit a 32 MiB table; their 203,005 pairs do not
+        assert count_mean_value(3, 100, HALF, memory_budget_mb=32).nondiagonal > 0
+        with pytest.raises(CapacityError, match="witness pairs"):
+            find_nondiagonal_witnesses(3, 100, HALF, memory_budget_mb=32)
+        assert len(find_nondiagonal_witnesses(3, 100, HALF)) == 203005
+
     def test_negative_limit_rejected(self):
         assert len(find_nondiagonal_witnesses(2, 8, HALF)) == 1
         assert find_nondiagonal_witnesses(2, 8, HALF, limit=0) == []
@@ -271,3 +301,41 @@ class TestDeterminism:
                 ws = find_nondiagonal_witnesses(k, X, shift, workers=workers)
                 dumps.append(json.dumps([w.to_json_dict() for w in ws]))
             assert dumps[0] == dumps[1] == dumps[2]
+
+
+KEYED_SHIFTS = [
+    Transcendental(),
+    SQRT2,
+    Algebraic(MinimalPolynomial([-1, -1, 0, 1])),
+    parse_shift("minpoly:-3,0,2"),
+] + [parse_shift(f"rational:{r}") for r in ("1/2", "3/2", "0", "-3", "-5/3")]
+
+
+@pytest.mark.parametrize("shift", KEYED_SHIFTS, ids=format_shift)
+def test_walker_keys_encode_the_products(shift):
+    """Every key the walker yields, one or two coordinates above its prefix."""
+    for k in range(1, 5):
+        X = 7 - k // 2
+        keyer = counting._keyer_for(k, X, shift)
+        by_depth = {k - 1: []}
+
+        def last_one(state, prefix, last, den, run):
+            a, b = state
+            by_depth[k - 1] += [(prefix + (x,), a * x + b) for x in range(last, X + 1)]
+
+        def last_two(state, prefix, last, den, run):
+            a, b, c = state
+            by_depth[k - 2] += [
+                (prefix + (x, y), a * x * y + b * (x + y) + c)
+                for x in range(last, X + 1)
+                for y in range(x, X + 1)
+            ]
+
+        counting._walk(keyer, X, k - 1, last_one)
+        if k >= 2:
+            by_depth[k - 2] = []
+            counting._walk(keyer, X, k - 2, last_two)
+        for rows in by_depth.values():
+            assert len({m for m, _ in rows}) == len(rows) == comb(X + k - 1, k)
+            for m, key in rows:
+                assert key == keyer.encode(shifted_product(m, shift)), (k, m)
