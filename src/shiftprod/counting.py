@@ -22,17 +22,21 @@ walker carries the keys K_i = key(P * t^i), which start at E_i; a factor
 the innermost loop is `key = a*x + b`, where (a, b) = (K_0, K_1).
 
 Two backends fill the table.  The array backend settles a cell when numpy
-imports, k >= 2, the cell has at least _ARRAY_MIN_MULTISETS multisets
-(smaller cells do not repay the numpy import) and the keyer's bounds prove
-that every key and partial key fits in int64.  With the first k-2 factors
+imports, k >= 2 and the cell has at least _ARRAY_MIN_MULTISETS multisets
+(smaller cells do not repay the numpy import).  With the first k-2 factors
 fixed the key is bilinear in the last two, a*x*y + b*(x + y) + c with
-(a, b, c) = (K_0, K_1, K_2), so it writes the keys of all their pairs at
-once into one int64 array and sorts it once.  Runs of equal keys give the
-distinct products and their ordered weights, and repeated keys the
-colliding multisets, so one enumeration serves either the count or the
-witnesses.  Every other cell takes the dict backend: one dict update per
-multiset in arbitrary-precision integers.  It is the reference the tests
-compare the array backend against.
+(a, b, c) = (K_0, K_1, K_2), so it writes the words of all their pairs at
+once into one int64 array and sorts it once.  A key's word is the key
+modulo 2^64 in two's complement, which the int64 arithmetic computes by
+wrapping, and it is the key itself when the keyer proves that every key and
+partial key fits in int64.  Runs of equal words give the distinct products
+and their ordered weights, and repeated words the colliding multisets, so
+one enumeration serves either the count or the witnesses.  When keys do not
+fit, equal products still give equal words, so a word of one row is exact;
+the rows of a word that two or more rows share are re-keyed exactly from
+their multisets and split by key.  Every other cell takes the dict backend:
+one dict update per multiset in arbitrary-precision integers.  It is the
+reference the tests compare the array backend against.
 
 Both backends enumerate with one walker, `_walk`, which visits every
 non-decreasing prefix of a given length once with the keys K_i of its
@@ -74,11 +78,18 @@ _ARRAY_MIN_MULTISETS = 1 << 20
 # the same way; its guard keeps 96 B.
 _ARRAY_BYTES_PER_MULTISET = 36
 _ARRAY_BYTES_PER_PAIR = 32
+# Keys beyond int64 keep the unsorted words beside their sorted copy, for
+# the exact re-key.  Peak bytes per multiset of the table by tracemalloc,
+# less the pair table: 33.8 at k=4, X=60, 33.1 at k=4, X=100, 37.6 at k=5,
+# X=30, 36.1 at k=5, X=40 and 40.9 at k=6, X=25; it grows with the share of
+# multisets that repeat a value, about k(k-1)/X.  The witnesses took 18-21.
+_WIDE_BYTES_PER_MULTISET = 42
 # Peak bytes per witness pair of find_nondiagonal_witnesses, by tracemalloc on
 # either backend: 273 at k=2, 290 at k=3, 302 at k=4 and 336 at k=6, since
 # every pair is sorted as a tuple before the kept ones become SolutionPairs.
 _BYTES_PER_WITNESS_PAIR = 340
 _INT64_LIMIT = 1 << 63
+_WORD_MODULUS = 1 << 64
 
 COUNT_CSV_HEADER = "k,X,shift,M,T,nondiag,distinct_nu,elapsed_ms"
 
@@ -213,6 +224,15 @@ def _extend(keys: tuple, x: int) -> tuple:
     return tuple(out)
 
 
+def _rekey(keyer, multiset: tuple) -> int:
+    """The exact key of a multiset's product, folded from the row weights."""
+    state = keyer.rows_weight
+    for x in multiset:
+        state = _extend(state, x)
+    (key,) = state
+    return key
+
+
 def _walk_below(
     X: int, depth: int, visit, state: tuple, prefix: tuple, last: int, den: int, run: int
 ) -> None:
@@ -285,16 +305,16 @@ def _dict_collect(keyer, k: int, X: int, wanted) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _numpy_for(keyer, k: int, X: int):
+def _numpy_for(k: int, X: int):
     """The numpy module if the array backend settles this cell, else None.
 
     A multiset weighs at most k!, so every sum of weights is below n * k!
-    (n multisets); with that and the keyer's bound on keys under 2^63 no
-    int64 operation of the backend can wrap.  numpy is imported only once
-    the cell qualifies, so other cells never pay for the import.
+    (n multisets) and no int64 sum of weights can wrap; keys wrap by design
+    (see `_word`).  numpy is imported only once the cell qualifies, so other
+    cells never pay for the import.
     """
     n = comb(X + k - 1, k)
-    if k < 2 or n < _ARRAY_MIN_MULTISETS or not keyer.fits_int64:
+    if k < 2 or n < _ARRAY_MIN_MULTISETS:
         return None
     if n * factorial(k) >= _INT64_LIMIT:
         return None
@@ -305,51 +325,74 @@ def _numpy_for(keyer, k: int, X: int):
     return numpy
 
 
+def _word(key: int) -> int:
+    """The int64 word of a key: the key modulo 2^64, in two's complement.
+
+    It is the key itself for every key in int64.  Words are linear in keys,
+    so the array backend's wrapping int64 arithmetic computes them.
+    """
+    return (key + _INT64_LIMIT) % _WORD_MODULUS - _INT64_LIMIT
+
+
 class _SortedFreq:
-    """Frequency table as sorted distinct int64 keys and their int64 ordered weights."""
+    """Frequency table as sorted distinct int64 words and their int64 ordered weights.
 
-    __slots__ = ("keys", "weights")
+    `lone_key(word)` is the exact key of the one product a stored word
+    stands for, and `exact` maps exact keys to ordered weights for products
+    kept out of the arrays.  When every key fits in int64 the word is the
+    key (`lone_key` is `int`) and `exact` is empty.  Otherwise the words
+    that two or more multisets share are split by exact key into `exact`,
+    and `lone_key` re-keys the one multiset of a stored word.
+    """
 
-    def __init__(self, keys, weights):
-        self.keys = keys
+    __slots__ = ("words", "weights", "exact", "lone_key")
+
+    def __init__(self, words, weights, exact=None, lone_key=int):
+        self.words = words
         self.weights = weights
+        self.exact = {} if exact is None else exact
+        self.lone_key = lone_key
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.words) + len(self.exact)
 
     def get(self, key: int, default: int = 0) -> int:
-        if not -_INT64_LIMIT <= key < _INT64_LIMIT:
-            return default
-        i = int(self.keys.searchsorted(key))
-        if i < len(self.keys) and self.keys[i] == key:
+        if key in self.exact:
+            return self.exact[key]
+        word = _word(key)
+        i = int(self.words.searchsorted(word))
+        if i < len(self.words) and self.words[i] == word and self.lone_key(word) == key:
             return int(self.weights[i])
         return default
 
     def total(self) -> int:
-        return int(self.weights.sum())
+        return int(self.weights.sum()) + sum(self.exact.values())
 
     def sum_of_squares(self) -> int:
         # sum W^2 <= max(W) * sum W, so the int64 dot is exact under this guard
         weights = self.weights
-        if int(weights.max()) * self.total() < _INT64_LIMIT:
-            return int(weights @ weights)
-        return sum(w * w for w in weights.tolist())
+        if int(weights.max(initial=0)) * int(weights.sum()) < _INT64_LIMIT:
+            squares = int(weights @ weights)
+        else:
+            squares = sum(w * w for w in weights.tolist())
+        return squares + sum(w * w for w in self.exact.values())
 
 
 def _enumerate_rows(np, keyer, k: int, X: int):
-    """Key and ordering weight of every multiset (k >= 2), one row each.
+    """Word and ordering weight of every multiset (k >= 2), one row each.
 
     `_walk` visits each prefix of the first k-2 coordinates.  Below them the
     key is a*x*y + b*(x + y) + c in the last two coordinates x <= y, so each
     prefix writes the rows of all its pairs at once from a table of the pairs
     of [1, X] in lexicographic order, where the pairs with x >= v start at
-    first[v] and each starts with (v, v).  Returns (keys, weights, members),
-    members(rows) being the multisets of an int64 array of rows as sorted
-    tuples.
+    first[v] and each starts with (v, v).  The words of a, b and c make the
+    key's word, since numpy's int64 arithmetic wraps modulo 2^64 without
+    signalling.  Returns (words, weights, members), members(rows) being the
+    multisets of an int64 array of rows as sorted tuples.
     """
     n = comb(X + k - 1, k)
     kfact = factorial(k)
-    keys = np.empty(n, dtype=np.int64)
+    words = np.empty(n, dtype=np.int64)
     weights = np.empty(n, dtype=np.min_scalar_type(kfact))
     xs, ys = np.triu_indices(X)
     xs += 1
@@ -370,8 +413,8 @@ def _enumerate_rows(np, keyer, k: int, X: int):
         nonlocal end
         start = end
         end = start + first[X + 1] - first[lo]
-        a, b, c = state
-        out = keys[start:end]
+        a, b, c = map(_word, state)
+        out = words[start:end]
         np.multiply(pair_product[first[lo]:], a, out=out)
         out += pair_sum[first[lo]:] * b
         out += c
@@ -396,7 +439,7 @@ def _enumerate_rows(np, keyer, k: int, X: int):
         i = firsts[j] + rows - starts[j]
         return list(map(tuple, np.column_stack((prefixes[j], xs[i], ys[i])).tolist()))
 
-    return keys, weights, members
+    return words, weights, members
 
 
 def _run_bounds(np, ordered):
@@ -404,55 +447,108 @@ def _run_bounds(np, ordered):
     return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
 
 
-def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
-    """The frequency table from one in-place sort of the cell's keys.
+def _orderings(kfact: int, multiset: tuple) -> int:
+    return kfact // prod(factorial(n) for n in Counter(multiset).values())
 
-    Each run of equal keys in sorted order is one distinct product.  A row
-    weighs k! unless its multiset repeats a value, so a run's ordered weight
-    W is k! times its length less the shortfall of those rows, a share of
-    about k(k-1)/X.  Sorting the keys alone and patching W so spares an
-    argsort, the gathers through its permutation and a segmented sum.
+
+def _tied_runs(np, words, tied, members) -> list[list[tuple]]:
+    """The multisets of each word in `tied`, a list per word.
+
+    `tied` holds words that two or more rows share.  A bitmap of their low
+    20 bits picks out their rows and few others; grouping the picked rows by
+    word and dropping the lone ones leaves exactly the rows of tied words.
     """
-    keys, weights, _ = _enumerate_rows(np, keyer, k, X)
+    low = (1 << 20) - 1
+    bitmap = np.zeros(low + 1, dtype=bool)
+    bitmap[tied & low] = True
+    rows = np.flatnonzero(bitmap[words & low])
+    rows = rows[np.argsort(words[rows], kind="stable")]
+    bounds = _run_bounds(np, words[rows])
+    multisets = members(rows)
+    return [
+        multisets[i:j] for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if j - i > 1
+    ]
+
+
+def _by_key(keyer, runs) -> dict:
+    """The multisets of the runs grouped by the exact keys of their products."""
+    groups: dict = {}
+    for run in runs:
+        for multiset in run:
+            groups.setdefault(_rekey(keyer, multiset), []).append(multiset)
+    return groups
+
+
+def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
+    """The frequency table from one sort of the cell's words.
+
+    Each run of equal words in sorted order is one distinct product when the
+    words are the keys.  A row weighs k! unless its multiset repeats a value,
+    so a run's ordered weight W is k! times its length less the shortfall of
+    those rows, a share of about k(k-1)/X.  Sorting the words alone and
+    patching W so spares an argsort, the gathers through its permutation and
+    a segmented sum.  When keys do not fit in int64, a run of one word is
+    still one product, and the runs of two or more rows ("tied words") are
+    re-keyed exactly and their weights moved to the table's exact dict.
+    """
+    words, weights, members = _enumerate_rows(np, keyer, k, X)
     kfact = factorial(k)
     short = np.flatnonzero(weights != kfact)
-    short_keys = keys[short]
-    shortfall = kfact - weights[short].astype(np.int64)
-    del weights
-    keys.sort()
-    bounds = _run_bounds(np, keys)
-    distinct = keys[bounds[:-1]]
-    del keys
-    W = np.diff(bounds)
+    # sorted needles make the searchsorted below several times faster
+    short = short[np.argsort(words[short])]
+    short_words = words[short]
+    shortfall = kfact - weights[short]
+    del weights, short
+    if keyer.fits_int64:
+        # the words are the keys, so no lookup needs their order of rows
+        words.sort()
+        ordered, words = words, None
+    else:
+        ordered = np.sort(words)
+    bounds = _run_bounds(np, ordered)
+    distinct = ordered[bounds[:-1]]
+    del ordered
+    W = np.diff(bounds)  # run lengths until scaled
     del bounds
+    tied = None if keyer.fits_int64 else W > 1
     W *= kfact
-    np.subtract.at(W, distinct.searchsorted(short_keys), shortfall)
-    return _SortedFreq(distinct, W)
+    at = distinct.searchsorted(short_words)
+    del short_words
+    # int64 values keep ufunc.at on its fast path
+    np.subtract.at(W, at, shortfall.astype(np.int64))
+    if tied is None:
+        return _SortedFreq(distinct, W)
+
+    def lone_key(word: int) -> int:
+        return _rekey(keyer, members(np.flatnonzero(words == word))[0])
+
+    exact = {}
+    if tied.any():
+        runs = _tied_runs(np, words, distinct[tied], members)
+        for key, multisets in _by_key(keyer, runs).items():
+            exact[key] = sum(_orderings(kfact, multiset) for multiset in multisets)
+        lone = ~tied
+        distinct, W = distinct[lone], W[lone]
+    return _SortedFreq(distinct, W, exact, lone_key)
 
 
 def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
     """The multisets of every key that two or more multisets share, a list per key.
 
-    Colliding keys are the repeated keys of one sort.  A bitmap of their low
-    20 bits picks out their rows and few others; grouping the picked rows by
-    key and dropping the lone ones leaves exactly the colliding multisets.
+    Colliding keys have repeated words in one sort.  When keys do not fit in
+    int64, the multisets of a repeated word are re-keyed exactly, grouped by
+    key and the lone ones dropped.
     """
-    keys, _, members = _enumerate_rows(np, keyer, k, X)
-    ordered = np.sort(keys)
-    colliding = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
+    words, _, members = _enumerate_rows(np, keyer, k, X)
+    ordered = np.sort(words)
+    tied = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
     del ordered
-    if not len(colliding):
+    if not len(tied):
         return []
-    low = (1 << 20) - 1
-    bitmap = np.zeros(low + 1, dtype=bool)
-    bitmap[colliding & low] = True
-    rows = np.flatnonzero(bitmap[keys & low])
-    rows = rows[np.argsort(keys[rows], kind="stable")]
-    bounds = _run_bounds(np, keys[rows])
-    multisets = members(rows)
-    return [
-        multisets[i:j] for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if j - i > 1
-    ]
+    runs = _tied_runs(np, words, tied, members)
+    if keyer.fits_int64:
+        return runs
+    return [multisets for multisets in _by_key(keyer, runs).values() if len(multisets) > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +556,11 @@ def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
-def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool) -> None:
+def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool, fits_int64: bool) -> None:
     entries = comb(X + k - 1, k)
     if array:
-        needed = entries * _ARRAY_BYTES_PER_MULTISET + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
+        per_multiset = _ARRAY_BYTES_PER_MULTISET if fits_int64 else _WIDE_BYTES_PER_MULTISET
+        needed = entries * per_multiset + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
     else:
         needed = entries * _BYTES_PER_TABLE_ENTRY
     if needed > memory_budget_mb * (1 << 20):
@@ -542,8 +639,8 @@ def build_product_table(
     """
     _validate_args(k, X, shift, workers, memory_budget_mb)
     keyer = _keyer_for(k, X, shift)
-    np = _numpy_for(keyer, k, X)
-    _check_capacity(k, X, memory_budget_mb, np is not None)
+    np = _numpy_for(k, X)
+    _check_capacity(k, X, memory_budget_mb, np is not None, keyer.fits_int64)
     if np is None:
         freq = _dict_table(keyer, k, X)
     else:
@@ -766,8 +863,8 @@ def find_nondiagonal_witnesses(
     if limit is not None:
         _require_int("limit", limit, 0)
     keyer = _keyer_for(k, X, shift)
-    np = _numpy_for(keyer, k, X)
-    _check_capacity(k, X, memory_budget_mb, np is not None)
+    np = _numpy_for(k, X)
+    _check_capacity(k, X, memory_budget_mb, np is not None, keyer.fits_int64)
     if np is not None:
         groups = _array_groups(np, keyer, k, X)
     else:

@@ -57,15 +57,41 @@ def product_difference(x: Sequence[int], y: Sequence[int]) -> Poly:
     return shift_product_poly(x) - shift_product_poly(y)
 
 
+def _integer_quotient(f: Poly, m: Poly) -> Optional[Poly]:
+    """f / m by synthetic division over the integers, or None unless exact."""
+    if not f.is_integral:
+        return None
+    d = len(m.coeffs) - 1
+    lead = m.coeffs[-1]
+    rem = list(f.coeffs)
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q, r = divmod(rem[i], lead)
+        if r:
+            return None
+        quot[i - d] = q
+        for j, c in enumerate(m.coeffs):
+            rem[i - d + j] -= q * c
+    if any(rem[:d]):
+        return None
+    return Poly(quot)
+
+
 def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
     """Exact quotient Psi with f = m * Psi, raising if m does not divide f.
 
     A nonzero remainder means the pair that produced f is not a solution for
     this shift.  A divisible f with non-integer quotient cannot happen for a
     primitive m and integral f; it is reported as an invariant violation.
+    By Gauss's lemma an exact quotient is integral, so integer synthetic
+    division finds it; the division over the rationals only classifies a
+    failure.
     """
     if not f:
         raise ValueError("the difference polynomial must be nonzero")
+    quotient = _integer_quotient(f, m.poly)
+    if quotient is not None:
+        return quotient
     quotient, remainder = divmod(f, m.poly)
     if remainder:
         raise NotASolutionError(

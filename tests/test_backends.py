@@ -2,14 +2,17 @@
 
 Cells below the array backend's size threshold take the dict backend, the
 reference.  Lowering the threshold to 0 forces the array backend onto every
-cell it can settle exactly; a spy on its enumeration shows whether it ran.
+cell with k >= 2; a spy on its enumeration shows whether it ran.
 """
 
 import dataclasses
+import gc
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -23,6 +26,7 @@ from shiftprod import (
     build_product_table,
     count_mean_value,
     find_nondiagonal_witnesses,
+    format_shift,
     shifted_product,
 )
 from shiftprod import counting
@@ -35,6 +39,9 @@ CUBIC = Algebraic(MinimalPolynomial([-1, -1, 0, 1]))
 HALF = Rational(1, 2)
 ZERO_FACTOR = Rational(-3, 1)  # the factor 3 + theta vanishes
 TINY = Rational(1, 10**9)  # keys (q*X + p)^2 reach int64 at X = 4
+CUBE_ROOT2 = Algebraic(MinimalPolynomial([-2, 0, 0, 1]))
+# keys beyond int64, but for CUBE_ROOT2's, which the tied-word test forces
+WIDE_CELLS = [(4, 45, TRANS), (5, 12, TRANS), (4, 30, CUBE_ROOT2), (2, 8, TINY)]
 
 
 def settle(k, X, shift, workers=1):
@@ -59,8 +66,32 @@ class ArrayRuns(list):
         monkeypatch.setattr(counting, "_enumerate_rows", spy)
 
     def force(self):
-        """Send every cell the array backend can settle exactly to it."""
+        """Send every cell with k >= 2 to the array backend."""
         self.monkeypatch.setattr(counting, "_ARRAY_MIN_MULTISETS", 0)
+
+    def narrow(self, bits):
+        """Keep `bits` low bits of each word and take every keyer beyond int64.
+
+        Thousands of distinct products then share a word, so only the exact
+        re-key of tied words can settle a cell.
+        """
+        mask = (1 << bits) - 1
+        enumerate_rows = counting._enumerate_rows
+        keyer_for = counting._keyer_for
+
+        def narrowed_rows(np_, keyer, k, X):
+            words, weights, members = enumerate_rows(np_, keyer, k, X)
+            words &= mask
+            return words, weights, members
+
+        def wide_keyer(k, X, shift):
+            keyer = keyer_for(k, X, shift)
+            keyer.fits_int64 = False
+            return keyer
+
+        self.monkeypatch.setattr(counting, "_word", lambda key: key & mask)
+        self.monkeypatch.setattr(counting, "_enumerate_rows", narrowed_rows)
+        self.monkeypatch.setattr(counting, "_keyer_for", wide_keyer)
 
 
 @pytest.fixture
@@ -109,18 +140,60 @@ def test_int64_edge_transcendental_k4(array_runs):
     keyers = {X: counting._keyer_for(4, X, TRANS) for X in (40, 41)}
     box = {X: kr.strides[-1] * (2 * kr.bounds[-1] + 1) for X, kr in keyers.items()}
     assert box[40] >= 2**63 and (box[40] - 1) // 2 < 2**63 <= (box[41] - 1) // 2
-    assert_backends_agree(array_runs, [(4, 40, TRANS)])
+    assert_backends_agree(array_runs, [(4, 40, TRANS), (4, 41, TRANS)])
     report = count_mean_value(4, 41, TRANS)
     assert report.mean_value == report.diagonal
-    assert array_runs == [(4, 40)] * 2, "keys over int64 must take the dict backend"
 
 
 def test_int64_edge_rational(array_runs):
     assert counting._keyer_for(2, 3, TINY).fits_int64
     assert not counting._keyer_for(2, 4, TINY).fits_int64
-    assert_backends_agree(array_runs, [(2, 3, TINY)])
-    count_mean_value(2, 4, TINY)
-    assert array_runs == [(2, 3)] * 2, "keys over int64 must take the dict backend"
+    assert_backends_agree(array_runs, [(2, 3, TINY), (2, 4, TINY)])
+
+
+def lookups(k, X, shift):
+    """Canonical products to look up: present ones and absent ones in the key box."""
+    tuples = itertools.combinations_with_replacement(range(1, X + 3), k)
+    step = max(1, (X + 2) ** k // 8000)
+    return [shifted_product(m, shift) for m in itertools.islice(tuples, 0, None, step)]
+
+
+def test_wide_keys_grid(array_runs):
+    assert [counting._keyer_for(*cell).fits_int64 for cell in WIDE_CELLS] == [
+        False, False, True, False,
+    ]
+    references = {cell: build_product_table(*cell) for cell in WIDE_CELLS}
+    assert_backends_agree(array_runs, WIDE_CELLS)
+    for cell, reference in references.items():
+        table = build_product_table(*cell)
+        for nu in lookups(*cell):
+            assert table.ordered_count(nu) == reference.ordered_count(nu), nu
+
+
+@pytest.mark.parametrize(
+    "cell", WIDE_CELLS + [(3, 20, HALF)], ids=lambda c: f"k{c[0]}-X{c[1]}-{format_shift(c[2])}"
+)
+def test_tied_words_split_exactly(array_runs, cell):
+    # HALF adds colliding products, whose multisets must stay grouped
+    bits = 12
+    mask = (1 << bits) - 1
+    expected = settle(*cell)
+    reference = build_product_table(*cell)
+    nus = lookups(*cell)
+    present = {key & mask for key in reference._freq}
+    array_runs.force()
+    array_runs.narrow(bits)
+    assert settle(*cell) == expected
+    table = build_product_table(*cell)
+    assert array_runs == [cell[:2]] * 3
+    assert table._freq.exact, "no word was tied"
+    aliased = 0
+    for nu in nus:
+        count = reference.ordered_count(nu)
+        assert table.ordered_count(nu) == count, nu
+        key = reference._keyer.encode(nu)
+        aliased += count == 0 and key is not None and key & mask in present
+    assert aliased, "no absent product shares a word with a present one"
 
 
 def test_array_runs_in_process_at_any_worker_count(array_runs):
@@ -147,6 +220,27 @@ def test_array_table_lookups(array_runs):
                 assert table.ordered_count(nu) == reference.ordered_count(nu)
         if shift == HALF:  # a rational key beyond int64 cannot be in the table
             assert table.ordered_count(shifted_product((10**10, 10**10), HALF)) == 0
+
+
+def test_wide_tables_freed_without_cyclic_gc(array_runs):
+    # a table beyond int64 keeps its words and row lookup for lone words;
+    # reference counting alone must still free it when a call drops it
+    array_runs.force()
+    for settle_cell in (count_mean_value, find_nondiagonal_witnesses):
+        settle_cell(4, 45, TRANS)  # numpy allocates its caches on first use
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for settle_cell in (count_mean_value, find_nondiagonal_witnesses):
+            before = tracemalloc.get_traced_memory()[0]
+            settle_cell(4, 45, TRANS)
+            assert tracemalloc.get_traced_memory()[0] - before < 1 << 20, settle_cell
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert array_runs == [(4, 45)] * 4
 
 
 def test_sum_of_squares_overflow_guard():
@@ -189,6 +283,16 @@ def test_capacity_guard_per_backend(monkeypatch):
         count_mean_value(3, 400, SQRT2, memory_budget_mb=512)
 
 
+def test_capacity_guard_beyond_int64(array_runs):
+    # 595,665 multisets: 20.5 MiB at 36 B each, 23.9 MiB at 42 B each
+    array_runs.force()
+    assert counting._keyer_for(4, 60, SQRT2).fits_int64
+    count_mean_value(4, 60, SQRT2, memory_budget_mb=22)
+    with pytest.raises(CapacityError):
+        count_mean_value(4, 60, TRANS, memory_budget_mb=22)
+    assert array_runs == [(4, 60)]
+
+
 def test_numpy_stays_unimported_off_the_array_backend():
     code = textwrap.dedent(
         """
@@ -199,8 +303,8 @@ def test_numpy_stays_unimported_off_the_array_backend():
         from shiftprod import Rational, Transcendental, count_mean_value
         count_mean_value(2, 400, Rational(1, 2))
         assert "numpy" not in sys.modules, "a rat-k2 cell loaded numpy"
-        count_mean_value(4, 100, Transcendental())
-        assert "numpy" not in sys.modules, "a trans-k4 cell loaded numpy"
+        count_mean_value(4, 40, Transcendental())
+        assert "numpy" not in sys.modules, "a small k=4 cell loaded numpy"
         """
     )
     src = os.path.dirname(os.path.dirname(shiftprod.__file__))

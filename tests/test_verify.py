@@ -72,6 +72,14 @@ class TestFactorOutMinpoly:
         with pytest.raises(NotASolutionError):
             factor_out_minpoly(Poly([-1, 2]), SQRT2_M)
 
+    def test_non_solution_rejected(self):
+        # 3t + 1 stops the integer division at once; 2t + 1 leaves remainder 2
+        for f in (Poly([1, 3]), Poly([1, 2]), product_difference((1, 6), (2, 4))):
+            with pytest.raises(NotASolutionError):
+                factor_out_minpoly(f, HALF_M)
+        with pytest.raises(NotASolutionError):
+            factor_out_minpoly(product_difference((1, 2, 9), (3, 3, 4)), SQRT2_M)
+
     def test_identity_quotient(self):
         assert factor_out_minpoly(SQRT2_M.poly, SQRT2_M) == Poly([1])
 
