@@ -41,7 +41,6 @@ def contrast_table(
     rational_shift: Shift,
     algebraic_shift: Shift,
     *,
-    workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
 ) -> list[ContrastRow]:
     """Non-diagonal counts of the two shifts on one (k, X) grid, row per X."""
@@ -51,12 +50,8 @@ def contrast_table(
         raise ValueError("X values must be strictly increasing")
     rows = []
     for X in x_values:
-        rat = count_mean_value(
-            k, X, rational_shift, workers=workers, memory_budget_mb=memory_budget_mb
-        )
-        alg = count_mean_value(
-            k, X, algebraic_shift, workers=workers, memory_budget_mb=memory_budget_mb
-        )
+        rat = count_mean_value(k, X, rational_shift, memory_budget_mb=memory_budget_mb)
+        alg = count_mean_value(k, X, algebraic_shift, memory_budget_mb=memory_budget_mb)
         rows.append(
             ContrastRow(
                 X=X,

@@ -44,11 +44,10 @@ product and the multiplicities that give each multiset's ordering weight.
 The dict backend walks prefixes of k-1 values and loops over the last one,
 with one small visitor per job (ordered weights, multiset counts, collection
 of colliding multisets); the array backend walks prefixes of k-2 values and
-writes the last two at once.  Every cell settles in one process.  The
-`workers` argument is still accepted and validated but changes nothing: a
-process pool over first-coordinate ranges was slower than the serial walk on
-every cell measured, since unpickling and merging its partial tables alone
-took longer than filling the whole table serially.
+writes the last two at once.  Every cell settles in one process: a process
+pool over first-coordinate ranges was slower than the serial walk on every
+cell measured, since unpickling and merging its partial tables alone took
+longer than filling the whole table serially.
 """
 
 from __future__ import annotations
@@ -56,12 +55,11 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm, prod
 from typing import Iterator, Optional, Sequence
 
-from .polynomials import MinimalPolynomial
+from .polynomials import Coeff, MinimalPolynomial, Poly, reduce_mod_minpoly
 from .shifts import Algebraic, CanonicalProduct, Rational, Shift, Transcendental
 from .shifts import format_shift, minimal_polynomial_for
 
@@ -103,23 +101,9 @@ class CapacityError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _reduction_rows(m: MinimalPolynomial, k: int) -> list[tuple[Fraction, ...]]:
+def _reduction_rows(m: MinimalPolynomial, k: int) -> list[tuple[Coeff, ...]]:
     """Rows R[j] = coordinates of t^j reduced mod m, for j = 0..k."""
-    d = m.degree
-    c = m.coeffs
-    rows: list[tuple[Fraction, ...]] = []
-    for j in range(min(d, k + 1)):
-        rows.append(tuple(Fraction(int(i == j)) for i in range(d)))
-    lead = c[d]
-    for j in range(d, k + 1):
-        prev = rows[j - 1]
-        top = prev[d - 1]
-        row = tuple(
-            (prev[i - 1] if i > 0 else Fraction(0)) - top * Fraction(c[i], lead)
-            for i in range(d)
-        )
-        rows.append(row)
-    return rows
+    return [reduce_mod_minpoly(Poly([0] * j + [1]), m) for j in range(k + 1)]
 
 
 class _PolyKeyer:
@@ -135,10 +119,10 @@ class _PolyKeyer:
 
     __slots__ = ("k", "rows_weight", "scale", "bounds", "strides", "dims", "fits_int64")
 
-    def __init__(self, k: int, X: int, rows: Sequence[Sequence[Fraction]], dims: int):
+    def __init__(self, k: int, X: int, rows: Sequence[Sequence[Coeff]], dims: int):
         self.k = k
         self.dims = dims
-        scale = lcm(*(f.denominator for row in rows for f in row)) if rows else 1
+        scale = lcm(*(f.denominator for row in rows for f in row))
         srows = [tuple(int(f * scale) for f in row) for row in rows]
         self.scale = scale
         # |c_j| = sigma_{k-j} <= C(k, k-j) X^(k-j) for tuples from [1, X]
@@ -184,9 +168,8 @@ def _keyer_for(k: int, X: int, shift: Shift) -> _PolyKeyer:
     if isinstance(shift, Transcendental):
         # canonical coordinate i is sigma_{i+1}, the t^(k-1-i) coefficient of
         # the product polynomial; the monic t^k coefficient carries nothing
-        rows = [
-            tuple(Fraction(int(i == k - 1 - j)) for i in range(k)) for j in range(k)
-        ] + [tuple(Fraction(0) for _ in range(k))]
+        rows = [tuple(int(i == k - 1 - j) for i in range(k)) for j in range(k)]
+        rows.append((0,) * k)
         return _PolyKeyer(k, X, rows, k)
     m = minimal_polynomial_for(shift)
     return _PolyKeyer(k, X, _reduction_rows(m, k), m.degree)
@@ -285,8 +268,15 @@ def _dict_colliding_keys(keyer, k: int, X: int) -> frozenset:
     return frozenset(key for key, n in counts.items() if n >= 2)
 
 
-def _dict_collect(keyer, k: int, X: int, wanted) -> dict:
-    """The multisets, as sorted tuples, of each key in `wanted`."""
+def _dict_groups(keyer, k: int, X: int) -> list[list[tuple]]:
+    """The multisets of every key that two or more multisets share, a list per key.
+
+    Two passes: the first finds the colliding keys (there are few), the
+    second collects their multisets as sorted tuples.
+    """
+    wanted = _dict_colliding_keys(keyer, k, X)
+    if not wanted:
+        return []
     out: dict = {}
 
     def collect(state, prefix, last, den, run) -> None:
@@ -297,7 +287,7 @@ def _dict_collect(keyer, k: int, X: int, wanted) -> dict:
                 out.setdefault(key, []).append(prefix + (x,))
 
     _walk(keyer, X, k - 1, collect)
-    return out
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +327,16 @@ def _word(key: int) -> int:
 class _SortedFreq:
     """Frequency table as sorted distinct int64 words and their int64 ordered weights.
 
-    `lone_key(word)` is the exact key of the one product a stored word
-    stands for, and `exact` maps exact keys to ordered weights for products
-    kept out of the arrays.  When every key fits in int64 the word is the
-    key (`lone_key` is `int`) and `exact` is empty.  Otherwise the words
-    that two or more multisets share are split by exact key into `exact`,
-    and `lone_key` re-keys the one multiset of a stored word.
+    `exact` maps exact keys to ordered weights for products kept out of the
+    arrays.  When every key fits in int64 the word is the key, `exact` is
+    empty and `lone_key` is None.  Otherwise the words that two or more
+    multisets share are split by exact key into `exact`, and `lone_key(i)`
+    is the exact key of the one multiset of stored word i.
     """
 
     __slots__ = ("words", "weights", "exact", "lone_key")
 
-    def __init__(self, words, weights, exact=None, lone_key=int):
+    def __init__(self, words, weights, exact=None, lone_key=None):
         self.words = words
         self.weights = weights
         self.exact = {} if exact is None else exact
@@ -361,9 +350,11 @@ class _SortedFreq:
             return self.exact[key]
         word = _word(key)
         i = int(self.words.searchsorted(word))
-        if i < len(self.words) and self.words[i] == word and self.lone_key(word) == key:
-            return int(self.weights[i])
-        return default
+        if i == len(self.words) or self.words[i] != word:
+            return default
+        if self.lone_key is not None and self.lone_key(i) != key:
+            return default
+        return int(self.weights[i])
 
     def total(self) -> int:
         return int(self.weights.sum()) + sum(self.exact.values())
@@ -519,9 +510,6 @@ def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
     if tied is None:
         return _SortedFreq(distinct, W)
 
-    def lone_key(word: int) -> int:
-        return _rekey(keyer, members(np.flatnonzero(words == word))[0])
-
     exact = {}
     if tied.any():
         runs = _tied_runs(np, words, distinct[tied], members)
@@ -529,6 +517,17 @@ def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
             exact[key] = sum(_orderings(kfact, multiset) for multiset in multisets)
         lone = ~tied
         distinct, W = distinct[lone], W[lone]
+    rows = None
+
+    def lone_key(i: int) -> int:
+        # the row of each stored word (8 B each), found by one argsort on
+        # the first lookup, so counting and the CLI never pay for it
+        nonlocal rows
+        if rows is None:
+            order = np.argsort(words)
+            rows = order[words[order].searchsorted(distinct)]
+        return _rekey(keyer, members(rows[i:i + 1])[0])
+
     return _SortedFreq(distinct, W, exact, lone_key)
 
 
@@ -576,15 +575,34 @@ def _require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _validate_args(k: int, X: int, shift: Shift, workers: int, memory_budget_mb: int) -> None:
+def _validate_args(
+    k: int, X: int, shift: Shift, memory_budget_mb: int, limit: Optional[int]
+) -> None:
     _require_int("k", k, 1)
     if k > DEFAULT_MAX_K:
         raise ValueError(f"k={k} exceeds the configured maximum {DEFAULT_MAX_K}")
     _require_int("X", X, 1)
     if not isinstance(shift, (Transcendental, Algebraic, Rational)):
         raise TypeError(f"not a shift: {shift!r}")
-    _require_int("workers", workers, 1)
     _require_int("memory budget (MiB)", memory_budget_mb, 1)
+    if limit is not None:
+        _require_int("limit", limit, 0)
+
+
+def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int, on_array, on_dict, limit=None):
+    """Run one backend's job on a cell: on_array(np, keyer, k, X) or on_dict(keyer, k, X).
+
+    Validates the arguments, builds the cell's keyer, picks the backend and
+    applies the capacity guard before anything is enumerated.  Returns the
+    keyer and the job's result.
+    """
+    _validate_args(k, X, shift, memory_budget_mb, limit)
+    keyer = _keyer_for(k, X, shift)
+    np = _numpy_for(k, X)
+    _check_capacity(k, X, memory_budget_mb, np is not None, keyer.fits_int64)
+    if np is None:
+        return keyer, on_dict(keyer, k, X)
+    return keyer, on_array(np, keyer, k, X)
 
 
 @dataclasses.dataclass
@@ -629,22 +647,10 @@ def build_product_table(
     X: int,
     shift: Shift,
     *,
-    workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
 ) -> ProductTable:
-    """Enumerate all multisets once and build the ordered-multiplicity table.
-
-    `workers` is accepted for compatibility and must be a positive integer;
-    every cell is settled in this process.
-    """
-    _validate_args(k, X, shift, workers, memory_budget_mb)
-    keyer = _keyer_for(k, X, shift)
-    np = _numpy_for(k, X)
-    _check_capacity(k, X, memory_budget_mb, np is not None, keyer.fits_int64)
-    if np is None:
-        freq = _dict_table(keyer, k, X)
-    else:
-        freq = _array_table(np, keyer, k, X)
+    """Enumerate all multisets once and build the ordered-multiplicity table."""
+    keyer, freq = _settle(k, X, shift, memory_budget_mb, _array_table, _dict_table)
     table = ProductTable(k, X, shift, keyer, freq)
     if table.total_ordered_tuples() != X**k:
         raise RuntimeError(
@@ -714,12 +720,11 @@ def count_mean_value(
     X: int,
     shift: Shift,
     *,
-    workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
 ) -> CountReport:
     """Exact mean value M, diagonal count T, and distinct-product count at (k, X)."""
     t0 = time.perf_counter()
-    table = build_product_table(k, X, shift, workers=workers, memory_budget_mb=memory_budget_mb)
+    table = build_product_table(k, X, shift, memory_budget_mb=memory_budget_mb)
     report = CountReport(
         k=k,
         X=X,
@@ -845,7 +850,6 @@ def find_nondiagonal_witnesses(
     shift: Shift,
     *,
     limit: Optional[int] = None,
-    workers: int = 1,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
 ) -> list[SolutionPair]:
     """Deduplicated non-diagonal witness pairs, sorted lexicographically.
@@ -859,19 +863,7 @@ def find_nondiagonal_witnesses(
     Transcendental shifts are legal and return an empty list.  `limit`, if
     given, keeps the first `limit` pairs and must not be negative.
     """
-    _validate_args(k, X, shift, workers, memory_budget_mb)
-    if limit is not None:
-        _require_int("limit", limit, 0)
-    keyer = _keyer_for(k, X, shift)
-    np = _numpy_for(k, X)
-    _check_capacity(k, X, memory_budget_mb, np is not None, keyer.fits_int64)
-    if np is not None:
-        groups = _array_groups(np, keyer, k, X)
-    else:
-        wanted = _dict_colliding_keys(keyer, k, X)
-        if not wanted:
-            return []
-        groups = _dict_collect(keyer, k, X, wanted).values()
+    _, groups = _settle(k, X, shift, memory_budget_mb, _array_groups, _dict_groups, limit)
     npairs = sum(comb(len(members), 2) for members in groups)
     needed = npairs * _BYTES_PER_WITNESS_PAIR
     if needed > memory_budget_mb * (1 << 20):

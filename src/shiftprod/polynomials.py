@@ -179,16 +179,14 @@ class Poly:
 
 
 def shift_product_poly(values: Sequence[int]) -> Poly:
-    """Product of the linear factors (t + v) over the given values.
+    """Product of the linear factors (t + v) over the given values; 1 if none.
 
-    Computed by repeated polynomial multiplication; ``elementary_symmetric``
-    computes the same coefficients by a separate in-place recurrence, and the
-    two paths cross-check each other.
+    Its coefficients, highest power first, are the elementary symmetric
+    vector of the values.
     """
-    out = Poly([1])
-    for v in values:
-        out = out * Poly([v, 1])
-    return out
+    if not values:
+        return Poly([1])
+    return Poly(reversed(elementary_symmetric(values)))
 
 
 def elementary_symmetric(values: Sequence[int]) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ Textual grammar (CLI and config):
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
@@ -166,9 +165,3 @@ def minimal_polynomial_for(shift: Shift) -> MinimalPolynomial:
         return MinimalPolynomial([-shift.p, shift.q])
     raise ValueError("transcendental shifts have no minimal polynomial")
 
-
-def fraction_coords(nu: CanonicalProduct) -> tuple[Fraction, ...]:
-    """Algebraic canonical coordinates as Fractions (convenience for reporting)."""
-    if not isinstance(nu.coords, tuple):
-        raise ValueError("only algebraic canonical products have coordinate vectors")
-    return tuple(Fraction(c) for c in nu.coords)

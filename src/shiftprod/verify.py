@@ -175,7 +175,7 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
     k = pair.k
     d = m.degree
     if k == 0 or pair.is_diagonal:
-        raise PreconditionViolationError("pair is diagonal after cancellation")
+        raise PreconditionViolationError("diagonal after cancellation")
     shared = set(pair.x) & set(pair.y)
     if shared:
         raise PreconditionViolationError(

@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the per-criterion
-lines.  Heavy engine results are cached per (cell, workers) so later
-criteria (and the determinism re-runs) reuse earlier work.
+lines.  Heavy engine results are cached per cell so later criteria reuse
+earlier work.
 """
 
-import json
 import random
 import time
 
@@ -26,6 +25,8 @@ from shiftprod import (
     minimal_polynomial_for,
     verify_witness,
 )
+from shiftprod import counting
+from shiftprod.cli import main
 
 TRANS = Transcendental()
 SQRT2 = Algebraic(MinimalPolynomial([-2, 0, 1]))
@@ -38,24 +39,24 @@ RATIONAL_GRID = (7, 50, 100, 200, 400)
 _CACHE: dict = {}
 
 
-def report_for(k, X, shift, workers=1):
-    key = ("report", k, X, shift, workers)
+def report_for(k, X, shift):
+    key = ("report", k, X, shift)
     if key not in _CACHE:
-        _CACHE[key] = count_mean_value(k, X, shift, workers=workers)
+        _CACHE[key] = count_mean_value(k, X, shift)
     return _CACHE[key]
 
 
-def witnesses_for(k, X, shift, workers=1):
-    key = ("witness", k, X, shift, workers)
+def witnesses_for(k, X, shift):
+    key = ("witness", k, X, shift)
     if key not in _CACHE:
-        _CACHE[key] = find_nondiagonal_witnesses(k, X, shift, workers=workers)
+        _CACHE[key] = find_nondiagonal_witnesses(k, X, shift)
     return _CACHE[key]
 
 
-def verified_reports(k, X, shift, workers=1):
+def verified_reports(k, X, shift):
     m = minimal_polynomial_for(shift)
     reports = []
-    for pair in witnesses_for(k, X, shift, workers=workers):
+    for pair in witnesses_for(k, X, shift):
         reduced = cancel_common_factors(pair)
         assert reduced.k > 0, "witness collapsed to a diagonal pair"
         reports.append(verify_witness(reduced, m, X))
@@ -193,42 +194,43 @@ def test_criterion_7_rational_contrast():
           f"alpha = {fit.alpha:.3f} > 1; sqrt2 k=2 column identically zero")
 
 
-def _bundle(workers: int) -> str:
-    """Canonical text of every engine-derived output of criteria 1-7."""
-    lines = []
-    for k in range(1, 5):
-        for X in range(1, 31):
-            lines.append("c1," + ",".join(report_for(k, X, TRANS, workers).csv_fields()[:-1]))
-    for k in (2, 3):
-        for X in range(1, 31):
-            lines.append("c2," + ",".join(report_for(k, X, CUBIC, workers).csv_fields()[:-1]))
-    for X in (10, 50, 100, 200):
-        lines.append(f"c3,T3,{X},{diagonal_count_exact(3, X)}")
-    for shift in (SQRT2, TRANS, HALF):
-        for k in (1, 2, 3):
-            for X in range(1, 13):
-                lines.append("c4," + ",".join(report_for(k, X, shift, workers).csv_fields()[:-1]))
-    for X in PAUCITY_GRID:
-        lines.append("c5," + ",".join(report_for(3, X, SQRT2, workers).csv_fields()[:-1]))
-    for X in PAUCITY_GRID:
-        ws = witnesses_for(3, X, SQRT2, workers)
-        lines.append(f"c6,witness,{X}," + json.dumps([w.to_json_dict() for w in ws]))
-        reports = verified_reports(3, X, SQRT2, workers)
-        lines.append(f"c6,report,{X}," + json.dumps([r.to_json_dict() for r in reports]))
-    for X in RATIONAL_GRID:
-        reports = verified_reports(2, X, HALF, workers)
-        lines.append(f"c6,rational,{X}," + json.dumps([r.to_json_dict() for r in reports]))
-    for X in RATIONAL_GRID:
-        lines.append("c7," + ",".join(report_for(2, X, HALF, workers).csv_fields()[:-1]))
-        lines.append("c7," + ",".join(report_for(2, X, SQRT2, workers).csv_fields()[:-1]))
-    half_reports = [report_for(2, X, HALF, workers) for X in RATIONAL_GRID]
-    lines.append(f"c7,alpha,{fit_growth_exponent(half_reports).alpha!r}")
-    return "\n".join(lines)
+def _cli_outputs(capsys, tmp_path, workers, k, X, shift):
+    """stdout of count, witness and lemma-check on the witnesses, timing cut."""
+    cell = ("--k", str(k), "--X", str(X), "--shift", shift, "--workers", workers)
+    assert main(["count", *cell]) == 0
+    count = "".join(
+        line.rsplit(",", 1)[0] + "\n" for line in capsys.readouterr().out.splitlines()
+    )
+    assert main(["witness", *cell]) == 0
+    witnesses = capsys.readouterr().out
+    path = tmp_path / f"witnesses-{k}-{X}-{workers}.json"
+    path.write_text(witnesses)
+    assert main(["lemma-check", "--shift", shift, "--X", str(X), "--in", str(path)]) == 0
+    return count, witnesses, capsys.readouterr().out
 
 
-def test_criterion_8_worker_determinism():
-    bundles = {w: _bundle(w) for w in (1, 2, 8)}
-    assert bundles[1] == bundles[2] == bundles[8]
-    n_lines = bundles[1].count("\n") + 1
-    print(f"\nCRITERION 8 PASS: {n_lines} output lines byte-identical at "
-          f"worker counts 1, 2, 8 (timing fields excluded)")
+def test_criterion_8_worker_determinism(capsys, tmp_path, monkeypatch):
+    # --workers is accepted and ignored, so every worker count must print the
+    # same bytes, on the dict backend and on the array backend alike
+    enumerated = []
+    enumerate_rows = counting._enumerate_rows
+
+    def spy(np_, keyer, k, X):
+        enumerated.append((k, X))
+        return enumerate_rows(np_, keyer, k, X)
+
+    def replay(cell):
+        runs = {w: _cli_outputs(capsys, tmp_path, w, *cell) for w in ("1", "2", "8")}
+        assert runs["1"] == runs["2"] == runs["8"], cell
+        assert runs["1"][1] != "[]\n", f"no witnesses at {cell}"
+        return sum(text.count("\n") for text in runs["1"])
+
+    monkeypatch.setattr(counting, "_enumerate_rows", spy)
+    n_lines = replay((3, 50, "minpoly:-2,0,1"))
+    assert enumerated == []
+    monkeypatch.setattr(counting, "_ARRAY_MIN_MULTISETS", 0)
+    n_lines += replay((2, 30, "rational:1/2"))
+    assert enumerated == [(2, 30)] * 6
+    print(f"\nCRITERION 8 PASS: count, witness and lemma-check print the same "
+          f"{n_lines} lines at --workers 1, 2, 8 on a dict-backend and an "
+          f"array-backend cell (timing fields excluded)")

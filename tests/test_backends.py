@@ -30,6 +30,7 @@ from shiftprod import (
     shifted_product,
 )
 from shiftprod import counting
+from shiftprod.cli import main
 
 np = pytest.importorskip("numpy")
 
@@ -44,10 +45,10 @@ CUBE_ROOT2 = Algebraic(MinimalPolynomial([-2, 0, 0, 1]))
 WIDE_CELLS = [(4, 45, TRANS), (5, 12, TRANS), (4, 30, CUBE_ROOT2), (2, 8, TINY)]
 
 
-def settle(k, X, shift, workers=1):
+def settle(k, X, shift):
     """The cell's report without its timing, and its witnesses."""
-    report = count_mean_value(k, X, shift, workers=workers)
-    witnesses = find_nondiagonal_witnesses(k, X, shift, workers=workers)
+    report = count_mean_value(k, X, shift)
+    witnesses = find_nondiagonal_witnesses(k, X, shift)
     return dataclasses.replace(report, elapsed=0.0), witnesses
 
 
@@ -196,10 +197,17 @@ def test_tied_words_split_exactly(array_runs, cell):
     assert aliased, "no absent product shares a word with a present one"
 
 
-def test_array_runs_in_process_at_any_worker_count(array_runs):
-    expected = settle(3, 40, SQRT2)
+def test_array_runs_in_process_at_any_worker_count(array_runs, capsys):
+    def cli_outputs(*workers):
+        cell = ("--k", "3", "--X", "40", "--shift", "minpoly:-2,0,1", *workers)
+        assert main(["count", *cell]) == 0
+        count = [line.rsplit(",", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        assert main(["witness", *cell]) == 0
+        return count, capsys.readouterr().out  # the count without elapsed_ms
+
+    expected = cli_outputs()
     array_runs.force()
-    assert settle(3, 40, SQRT2, workers=2) == expected
+    assert cli_outputs("--workers", "2") == expected
     assert array_runs == [(3, 40)] * 2
 
 
@@ -241,6 +249,54 @@ def test_wide_tables_freed_without_cyclic_gc(array_runs):
         if enabled:
             gc.enable()
     assert array_runs == [(4, 45)] * 4
+
+
+class CountedWords(np.ndarray):
+    """Words that count the numpy functions and ufuncs given all `size` of them."""
+
+    size_counted = 0
+    passes = 0
+
+    @classmethod
+    def count(cls, arrays):
+        cls.passes += any(isinstance(a, cls) and a.size == cls.size_counted for a in arrays)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(arrays):
+            return tuple(a.view(np.ndarray) if isinstance(a, CountedWords) else a for a in arrays)
+
+        self.count(inputs)
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        self.count(args)
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_wide_lookups_pass_over_the_words_once(array_runs, monkeypatch):
+    # a lookup beyond int64 confirms a stored word by the row of its one
+    # multiset; the rows are found once per table, not once per lookup
+    cell = (4, 45, TRANS)
+    reference = build_product_table(*cell)
+    array_runs.force()
+    enumerate_rows = counting._enumerate_rows
+
+    def counted_rows(np_, keyer, k, X):
+        words, weights, members = enumerate_rows(np_, keyer, k, X)
+        CountedWords.size_counted = words.size
+        return words.view(CountedWords), weights, members
+
+    monkeypatch.setattr(counting, "_enumerate_rows", counted_rows)
+    table = build_product_table(*cell)
+    assert table._freq.lone_key is not None
+    nus = lookups(*cell)[:400]
+    CountedWords.passes = 0
+    counts = [table.ordered_count(nu) for nu in nus]
+    assert CountedWords.passes <= 2, CountedWords.passes
+    assert counts == [reference.ordered_count(nu) for nu in nus]
+    assert sum(map(bool, counts)) > 100
 
 
 def test_sum_of_squares_overflow_guard():

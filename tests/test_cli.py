@@ -147,10 +147,14 @@ class TestWitnessAndLemmaCheck:
     def test_diagonal_rejected(self, capsys, tmp_path):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps([{"x": [1, 2], "y": [2, 1]}]))
-        code, _, err = run(
+        code, out, err = run(
             capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path)
         )
-        assert code == 3 and "diagonal after cancellation" in err
+        assert code == 3
+        assert err == "witness x=[1, 2] y=[1, 2]: diagonal after cancellation\n"
+        assert json.loads(out) == [
+            {"x": [1, 2], "y": [1, 2], "error": "diagonal after cancellation"}
+        ]
 
     def test_transcendental_rejected(self, capsys, tmp_path):
         path = tmp_path / "w.json"

@@ -18,6 +18,7 @@ from shiftprod import (
     Transcendental,
     build_product_table,
     cancel_common_factors,
+    contrast_table,
     count_mean_value,
     diagonal_count_exact,
     elementary_symmetric,
@@ -144,13 +145,19 @@ class TestCountMeanValue:
         with pytest.raises(CapacityError):
             count_mean_value(3, 400, SQRT2, memory_budget_mb=1)
 
-    def test_rejects_bad_workers_and_memory_budget(self):
+    def test_rejects_bad_memory_budget(self):
         for bad in (0, -3, True, 2.0):
             for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
                 with pytest.raises(ValueError):
-                    engine(2, 5, SQRT2, workers=bad)
-                with pytest.raises(ValueError):
                     engine(2, 5, SQRT2, memory_budget_mb=bad)
+
+    def test_no_workers_keyword(self):
+        # every cell settles in one process; only the CLI still accepts --workers
+        for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
+            with pytest.raises(TypeError, match="workers"):
+                engine(2, 5, SQRT2, workers=1)
+        with pytest.raises(TypeError, match="workers"):
+            contrast_table(2, [5], HALF, SQRT2, workers=1)
 
 
 class TestDiagonalCount:
@@ -286,19 +293,19 @@ class TestSolutionPair:
 class TestDeterminism:
     CELLS = [(3, 25, SQRT2), (2, 40, HALF), (2, 20, Transcendental()), (3, 15, HALF_SQRT2)]
 
-    def test_reports_identical_across_worker_counts(self):
+    def test_reports_identical_across_repeated_calls(self):
         for k, X, shift in self.CELLS:
             rows = []
-            for workers in (1, 2, 3):
-                r = count_mean_value(k, X, shift, workers=workers)
+            for _ in range(3):
+                r = count_mean_value(k, X, shift)
                 rows.append(",".join(r.csv_fields()[:-1]))  # elapsed_ms is timing
             assert rows[0] == rows[1] == rows[2]
 
-    def test_witnesses_identical_across_worker_counts(self):
+    def test_witnesses_identical_across_repeated_calls(self):
         for k, X, shift in [(3, 40, SQRT2), (2, 30, HALF)]:
             dumps = []
-            for workers in (1, 2, 3):
-                ws = find_nondiagonal_witnesses(k, X, shift, workers=workers)
+            for _ in range(3):
+                ws = find_nondiagonal_witnesses(k, X, shift)
                 dumps.append(json.dumps([w.to_json_dict() for w in ws]))
             assert dumps[0] == dumps[1] == dumps[2]
 

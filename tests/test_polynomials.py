@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from shiftprod import (
     MinimalPolynomial,
     Poly,
@@ -110,12 +111,14 @@ class TestElementarySymmetric:
             elementary_symmetric(())
 
     def test_matches_repeated_poly_mul(self):
-        # independent path: coefficients of prod(t + v) read off in reverse
+        # independent path: the oracle multiplies out prod(t + v) factor by
+        # factor; its coefficients read off in reverse are the vector
         for _ in range(100):
             vals = [rng.randint(1, 40) for _ in range(rng.randint(1, 6))]
             sig = elementary_symmetric(vals)
-            coeffs = shift_product_poly(vals).coeffs
-            assert sig == tuple(reversed(coeffs))
+            assert sig == tuple(reversed(oracles.expand_shifted(vals)))
+            assert shift_product_poly(vals).coeffs == tuple(oracles.expand_shifted(vals))
+        assert shift_product_poly(()) == Poly([1])
 
     def test_permutation_invariance(self):
         for _ in range(50):
