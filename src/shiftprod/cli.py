@@ -290,7 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         # --workers changes nothing, but a count below 1 is still a usage error
         if getattr(args, "workers", 1) < 1:
-            raise _UsageError(f"--workers must be a positive integer, got {args.workers}")
+            raise _UsageError(f"workers must be an integer >= 1, got {args.workers}")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

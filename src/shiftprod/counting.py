@@ -327,16 +327,17 @@ def _word(key: int) -> int:
 class _SortedFreq:
     """Frequency table as sorted distinct int64 words and their int64 ordered weights.
 
-    `exact` maps exact keys to ordered weights for products kept out of the
-    arrays.  When every key fits in int64 the word is the key, `exact` is
-    empty and `lone_key` is None.  Otherwise the words that two or more
-    multisets share are split by exact key into `exact`, and `lone_key(i)`
-    is the exact key of the one multiset of stored word i.
+    `lone_key(word)` is the exact key of the one product a stored word
+    stands for, and `exact` maps exact keys to ordered weights for products
+    kept out of the arrays.  When every key fits in int64 the word is the
+    key (`lone_key` is `int`) and `exact` is empty.  Otherwise the words
+    that two or more multisets share are split by exact key into `exact`,
+    and `lone_key` re-keys the one multiset of a stored word.
     """
 
     __slots__ = ("words", "weights", "exact", "lone_key")
 
-    def __init__(self, words, weights, exact=None, lone_key=None):
+    def __init__(self, words, weights, exact=None, lone_key=int):
         self.words = words
         self.weights = weights
         self.exact = {} if exact is None else exact
@@ -350,11 +351,9 @@ class _SortedFreq:
             return self.exact[key]
         word = _word(key)
         i = int(self.words.searchsorted(word))
-        if i == len(self.words) or self.words[i] != word:
-            return default
-        if self.lone_key is not None and self.lone_key(i) != key:
-            return default
-        return int(self.weights[i])
+        if i < len(self.words) and self.words[i] == word and self.lone_key(word) == key:
+            return int(self.weights[i])
+        return default
 
     def total(self) -> int:
         return int(self.weights.sum()) + sum(self.exact.values())
@@ -510,6 +509,9 @@ def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
     if tied is None:
         return _SortedFreq(distinct, W)
 
+    def lone_key(word: int) -> int:
+        return _rekey(keyer, members(np.flatnonzero(words == word))[0])
+
     exact = {}
     if tied.any():
         runs = _tied_runs(np, words, distinct[tied], members)
@@ -517,17 +519,6 @@ def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
             exact[key] = sum(_orderings(kfact, multiset) for multiset in multisets)
         lone = ~tied
         distinct, W = distinct[lone], W[lone]
-    rows = None
-
-    def lone_key(i: int) -> int:
-        # the row of each stored word (8 B each), found by one argsort on
-        # the first lookup, so counting and the CLI never pay for it
-        nonlocal rows
-        if rows is None:
-            order = np.argsort(words)
-            rows = order[words[order].searchsorted(distinct)]
-        return _rekey(keyer, members(rows[i:i + 1])[0])
-
     return _SortedFreq(distinct, W, exact, lone_key)
 
 
@@ -575,9 +566,12 @@ def _require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _validate_args(
-    k: int, X: int, shift: Shift, memory_budget_mb: int, limit: Optional[int]
-) -> None:
+def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
+    """The keyer and the numpy module (None for the dict backend) of a cell.
+
+    Validates the arguments, builds the cell's keyer, picks the backend and
+    applies the capacity guard before anything is enumerated.
+    """
     _require_int("k", k, 1)
     if k > DEFAULT_MAX_K:
         raise ValueError(f"k={k} exceeds the configured maximum {DEFAULT_MAX_K}")
@@ -585,24 +579,10 @@ def _validate_args(
     if not isinstance(shift, (Transcendental, Algebraic, Rational)):
         raise TypeError(f"not a shift: {shift!r}")
     _require_int("memory budget (MiB)", memory_budget_mb, 1)
-    if limit is not None:
-        _require_int("limit", limit, 0)
-
-
-def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int, on_array, on_dict, limit=None):
-    """Run one backend's job on a cell: on_array(np, keyer, k, X) or on_dict(keyer, k, X).
-
-    Validates the arguments, builds the cell's keyer, picks the backend and
-    applies the capacity guard before anything is enumerated.  Returns the
-    keyer and the job's result.
-    """
-    _validate_args(k, X, shift, memory_budget_mb, limit)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
     _check_capacity(k, X, memory_budget_mb, np is not None, keyer.fits_int64)
-    if np is None:
-        return keyer, on_dict(keyer, k, X)
-    return keyer, on_array(np, keyer, k, X)
+    return keyer, np
 
 
 @dataclasses.dataclass
@@ -650,7 +630,8 @@ def build_product_table(
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
 ) -> ProductTable:
     """Enumerate all multisets once and build the ordered-multiplicity table."""
-    keyer, freq = _settle(k, X, shift, memory_budget_mb, _array_table, _dict_table)
+    keyer, np = _settle(k, X, shift, memory_budget_mb)
+    freq = _dict_table(keyer, k, X) if np is None else _array_table(np, keyer, k, X)
     table = ProductTable(k, X, shift, keyer, freq)
     if table.total_ordered_tuples() != X**k:
         raise RuntimeError(
@@ -863,7 +844,10 @@ def find_nondiagonal_witnesses(
     Transcendental shifts are legal and return an empty list.  `limit`, if
     given, keeps the first `limit` pairs and must not be negative.
     """
-    _, groups = _settle(k, X, shift, memory_budget_mb, _array_groups, _dict_groups, limit)
+    if limit is not None:
+        _require_int("limit", limit, 0)
+    keyer, np = _settle(k, X, shift, memory_budget_mb)
+    groups = _dict_groups(keyer, k, X) if np is None else _array_groups(np, keyer, k, X)
     npairs = sum(comb(len(members), 2) for members in groups)
     needed = npairs * _BYTES_PER_WITNESS_PAIR
     if needed > memory_budget_mb * (1 << 20):

@@ -251,54 +251,6 @@ def test_wide_tables_freed_without_cyclic_gc(array_runs):
     assert array_runs == [(4, 45)] * 4
 
 
-class CountedWords(np.ndarray):
-    """Words that count the numpy functions and ufuncs given all `size` of them."""
-
-    size_counted = 0
-    passes = 0
-
-    @classmethod
-    def count(cls, arrays):
-        cls.passes += any(isinstance(a, cls) and a.size == cls.size_counted for a in arrays)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        def plain(arrays):
-            return tuple(a.view(np.ndarray) if isinstance(a, CountedWords) else a for a in arrays)
-
-        self.count(inputs)
-        if "out" in kwargs:
-            kwargs["out"] = plain(kwargs["out"])
-        return getattr(ufunc, method)(*plain(inputs), **kwargs)
-
-    def __array_function__(self, func, types, args, kwargs):
-        self.count(args)
-        return super().__array_function__(func, types, args, kwargs)
-
-
-def test_wide_lookups_pass_over_the_words_once(array_runs, monkeypatch):
-    # a lookup beyond int64 confirms a stored word by the row of its one
-    # multiset; the rows are found once per table, not once per lookup
-    cell = (4, 45, TRANS)
-    reference = build_product_table(*cell)
-    array_runs.force()
-    enumerate_rows = counting._enumerate_rows
-
-    def counted_rows(np_, keyer, k, X):
-        words, weights, members = enumerate_rows(np_, keyer, k, X)
-        CountedWords.size_counted = words.size
-        return words.view(CountedWords), weights, members
-
-    monkeypatch.setattr(counting, "_enumerate_rows", counted_rows)
-    table = build_product_table(*cell)
-    assert table._freq.lone_key is not None
-    nus = lookups(*cell)[:400]
-    CountedWords.passes = 0
-    counts = [table.ordered_count(nu) for nu in nus]
-    assert CountedWords.passes <= 2, CountedWords.passes
-    assert counts == [reference.ordered_count(nu) for nu in nus]
-    assert sum(map(bool, counts)) > 100
-
-
 def test_sum_of_squares_overflow_guard():
     def freq(weights):
         keys = np.arange(len(weights), dtype=np.int64)

@@ -216,11 +216,13 @@ class TestErrors:
                 ("--memory-budget-mb", "-5"),
                 ("--memory-budget-mb", "0"),
             ):
-                code, out, _ = run(
+                code, out, err = run(
                     capsys, command, "--k", "2", "--X", "8", "--shift", "rational:1/2",
                     flag, value,
                 )
                 assert code == 1 and out == "", (command, flag, value)
+                if flag == "--workers":
+                    assert err == f"error: workers must be an integer >= 1, got {value}\n"
 
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(
