@@ -6,7 +6,6 @@ and rational shifts theta, and machine-checks the factorization identities
 that explain why irrational shifts leave almost only diagonal solutions.
 """
 
-from .contrast import CONTRAST_CSV_HEADER, ContrastRow, contrast_table
 from .counting import (
     COUNT_CSV_HEADER,
     CapacityError,
@@ -62,10 +61,8 @@ __all__ = [
     "Algebraic",
     "CanonicalProduct",
     "CapacityError",
-    "ContrastRow",
     "CountReport",
     "COUNT_CSV_HEADER",
-    "CONTRAST_CSV_HEADER",
     "ExponentFit",
     "InsufficientDataError",
     "MinimalPolynomial",
@@ -81,7 +78,6 @@ __all__ = [
     "WitnessReport",
     "build_product_table",
     "cancel_common_factors",
-    "contrast_table",
     "count_mean_value",
     "diagonal_count_exact",
     "elementary_symmetric",

@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Subcommands: count, scan, witness, lemma-check, contrast.  Exit codes:
-0 success / all checks pass, 1 usage or configuration error, 2 capacity
-(memory budget) error, 3 check failure (non-solution, failed identity, or
-diagonal input where a witness was required).
+Subcommands: count, scan, witness, lemma-check, contrast.  Each calls the
+engine directly: count, scan and contrast call `count_mean_value` once per
+cell, witness calls `find_nondiagonal_witnesses`, and lemma-check calls
+`verify_witness`, which cancels shared values itself.  `--format` (csv or
+json) applies to count, scan and contrast; witness and lemma-check always
+write JSON.  Exit codes: 0 success / all checks pass, 1 usage or
+configuration error, 2 capacity (memory budget) error, 3 check failure
+(non-solution, failed identity, or diagonal input where a witness was
+required).
 """
 
 from __future__ import annotations
@@ -15,13 +20,11 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .contrast import CONTRAST_CSV_HEADER, contrast_table
 from .counting import (
     COUNT_CSV_HEADER,
     DEFAULT_MEMORY_BUDGET_MB,
     CapacityError,
     SolutionPair,
-    cancel_common_factors,
     count_mean_value,
     find_nondiagonal_witnesses,
 )
@@ -38,6 +41,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPACITY = 2
 EXIT_CHECK = 3
+
+_CONTRAST_CSV_HEADER = "X,k,shift_rational_nondiag,shift_algebraic_nondiag"
 
 
 class _UsageError(Exception):
@@ -66,14 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_x=True):
         p.add_argument("--k", type=int, required=True, help="tuple length k")
         if with_x:
-            p.add_argument("--X", type=int, help="range bound X")
+            p.add_argument("--X", type=int, required=True, help="range bound X")
         p.add_argument(
             "--workers",
             type=int,
             default=1,
             help="accepted for compatibility; every cell runs in one process",
         )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument(
             "--memory-budget-mb",
@@ -84,10 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="one exact count cell")
     add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--shift", required=True, help="shift descriptor")
 
     p = sub.add_parser("scan", help="count cells over an X grid plus exponent fit")
     add_common(p, with_x=False)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--X-list", required=True, help="comma-separated increasing X values")
     p.add_argument("--shift", required=True)
 
@@ -104,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contrast", help="rational vs irrational non-diagonal counts")
     add_common(p, with_x=False)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--X-list", required=True)
     p.add_argument("--rational-shift", required=True)
     p.add_argument("--algebraic-shift", required=True)
@@ -118,7 +125,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: str, rows: Sequence[Sequence[str]], trailer: Sequence[str] = ()) -> str:
+def _csv_text(header: str, rows: Sequence[Sequence], trailer: Sequence[str] = ()) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header.split(","))
@@ -131,8 +138,6 @@ def _csv_text(header: str, rows: Sequence[Sequence[str]], trailer: Sequence[str]
 
 
 def _cmd_count(args) -> int:
-    if args.X is None:
-        raise _UsageError("count needs --X")
     shift = parse_shift(args.shift)
     report = count_mean_value(
         args.k,
@@ -183,8 +188,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    if args.X is None:
-        raise _UsageError("witness needs --X")
     shift = parse_shift(args.shift)
     pairs = find_nondiagonal_witnesses(
         args.k,
@@ -220,17 +223,14 @@ def _cmd_lemma_check(args) -> int:
         raise _UsageError("lemma-check needs an algebraic or rational shift")
     m = minimal_polynomial_for(shift)
     pairs = _load_witnesses(args.infile)
-    if not pairs:
-        _emit("[]\n", args.out)  # nothing to check is a vacuous pass
-        return EXIT_OK
     x_cap = args.X
     if x_cap is None:
-        x_cap = max(max(p.x + p.y) for p in pairs)
+        x_cap = max((max(p.x + p.y) for p in pairs), default=1)
     results = []
     failures = 0
     for pair in pairs:
         try:
-            report = verify_witness(cancel_common_factors(pair), m, x_cap)
+            report = verify_witness(pair, m, x_cap)
         except (NotASolutionError, PreconditionViolationError) as exc:
             failures += 1
             print(
@@ -252,26 +252,21 @@ def _cmd_lemma_check(args) -> int:
 
 def _cmd_contrast(args) -> int:
     xs = _parse_x_list(args.X_list)
-    rows = contrast_table(
-        args.k,
-        xs,
-        parse_shift(args.rational_shift),
-        parse_shift(args.algebraic_shift),
-        memory_budget_mb=args.memory_budget_mb,
-    )
-    if args.format == "json":
-        payload = [
-            {
-                "X": r.X,
-                "k": r.k,
-                "shift_rational_nondiag": r.rational_nondiag,
-                "shift_algebraic_nondiag": r.algebraic_nondiag,
-            }
-            for r in rows
+    shifts = (parse_shift(args.rational_shift), parse_shift(args.algebraic_shift))
+    rows = [
+        [X, args.k]
+        + [
+            count_mean_value(args.k, X, s, memory_budget_mb=args.memory_budget_mb).nondiagonal
+            for s in shifts
         ]
+        for X in xs
+    ]
+    if args.format == "json":
+        keys = _CONTRAST_CSV_HEADER.split(",")
+        payload = [dict(zip(keys, row)) for row in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(_csv_text(CONTRAST_CSV_HEADER, [r.csv_fields() for r in rows]), args.out)
+        _emit(_csv_text(_CONTRAST_CSV_HEADER, rows), args.out)
     return EXIT_OK
 
 

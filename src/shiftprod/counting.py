@@ -69,11 +69,14 @@ _BYTES_PER_TABLE_ENTRY = 96
 # The array backend pays for importing numpy (0.13-0.17 s) only on cells at
 # least this big.
 _ARRAY_MIN_MULTISETS = 1 << 20
-# Peak bytes of the array backend, by tracemalloc (which sees numpy buffers)
-# at k=3, X=100: 35.5 per multiset for the table, 31.0 for the witnesses; on
-# top comes its table of the X(X+1)/2 pairs, four int64 arrays, which is as
-# big as the cell at k=2.  The dict backend measured 66.5 B per table entry
-# the same way; its guard keeps 96 B.
+# Peak bytes per multiset of the int64 array backend's table, by tracemalloc
+# (which sees numpy buffers) for minpoly:-2,0,1 with numpy imported, less the
+# pair table: 24.1 at k=3, X=100, 25.9 at k=4, X=60, 27.3 at k=5, X=50, 29.5
+# at k=5, X=30, 34.9 at k=6, X=20 and 31.6 at k=6, X=30.  It grows with the
+# share of multisets that repeat a value, so 36 covers the worst case, k=6.
+# The witnesses took 18.7-28.2.  On top comes the table of the X(X+1)/2
+# pairs, four int64 arrays, which is as big as the cell at k=2.  The dict
+# backend measured 66.5 B per table entry the same way; its guard keeps 96 B.
 _ARRAY_BYTES_PER_MULTISET = 36
 _ARRAY_BYTES_PER_PAIR = 32
 # Keys beyond int64 keep the unsorted words beside their sorted copy, for
@@ -724,18 +727,15 @@ def representation_count(
     X: int,
     shift: Shift,
     *,
-    table: Optional[ProductTable] = None,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
 ) -> int:
     """Number of ordered k-tuples d in [1, X]^k with prod(d_i + theta) = nu.
 
-    Reads the same frequency table the mean value is computed from; pass a
-    prebuilt table to amortise repeated queries.
+    Builds the frequency table the mean value is computed from and reads nu
+    off it.  For repeated queries on one cell, build the table once with
+    `build_product_table(k, X, shift)` and call its `ordered_count(nu)`.
     """
-    if table is None:
-        table = build_product_table(k, X, shift, memory_budget_mb=memory_budget_mb)
-    elif (table.k, table.X, table.shift) != (k, X, shift):
-        raise ValueError("prebuilt table does not match (k, X, shift)")
+    table = build_product_table(k, X, shift, memory_budget_mb=memory_budget_mb)
     return table.ordered_count(nu)
 
 

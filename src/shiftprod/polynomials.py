@@ -70,10 +70,7 @@ class Poly:
         """gcd of the (integer) coefficients; content of the zero poly is 0."""
         if not self.is_integral:
             raise ValueError("content is defined for integer polynomials only")
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def evaluate(self, value: Coeff) -> Coeff:
         acc: Coeff = 0
@@ -295,9 +292,7 @@ class MinimalPolynomial:
             raise ValueError("leading coefficient c_d must be nonzero")
         if len(cs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
-        content = 0
-        for c in cs:
-            content = gcd(content, c)
+        content = Poly(cs).content()
         cs = [c // content for c in cs]
         d = len(cs) - 1
         if d >= 2 and _has_rational_root(cs):

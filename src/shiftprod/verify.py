@@ -1,7 +1,7 @@
 """Machine checks of the factorization identities behind the diagonal-only counts.
 
-For a witness pair x, y (a genuine solution with no value shared between the
-two sides) the difference polynomial
+For a witness pair x, y (a genuine solution, with the values shared between
+the two sides cancelled) the difference polynomial
 
     F(t) = prod(t + x_i) - prod(t + y_i)
 
@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .counting import CountReport, SolutionPair
+from .counting import CountReport, SolutionPair, cancel_common_factors
 from .polynomials import MinimalPolynomial, Poly, norm_factor, shift_product_poly
 from .shifts import Shift, Transcendental, minimal_polynomial_for
 
@@ -165,22 +165,20 @@ class WitnessReport:
 
 
 def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessReport:
-    """Check every factorization identity on a fully-cancelled witness.
+    """Check every factorization identity on a witness, after cancellation.
 
-    Preconditions: no value occurs on both sides (cancel first), entries lie
-    in [1, X], and k > d (a genuine fully-cancelled solution always has
-    k > d, since degree-d shifts admit no non-diagonal solutions at k <= d).
-    Raises NotASolutionError when the pair does not solve the equation.
+    Values shared between the two sides are cancelled first
+    (`cancel_common_factors`), and the report describes the cancelled pair.
+    Preconditions on that pair: it is not diagonal, entries lie in [1, X],
+    and k > d (a genuine fully-cancelled solution always has k > d, since
+    degree-d shifts admit no non-diagonal solutions at k <= d).  Raises
+    NotASolutionError when the pair does not solve the equation.
     """
+    pair = cancel_common_factors(pair)
     k = pair.k
     d = m.degree
-    if k == 0 or pair.is_diagonal:
+    if pair.is_diagonal:
         raise PreconditionViolationError("diagonal after cancellation")
-    shared = set(pair.x) & set(pair.y)
-    if shared:
-        raise PreconditionViolationError(
-            f"values {sorted(shared)} appear on both sides; cancel first"
-        )
     if k <= d:
         raise PreconditionViolationError(
             f"k={k} must exceed the minimal-polynomial degree d={d}"

@@ -5,6 +5,7 @@ lines.  Heavy engine results are cached per cell so later criteria reuse
 earlier work.
 """
 
+import json
 import random
 import time
 
@@ -15,8 +16,6 @@ from shiftprod import (
     Poly,
     Rational,
     Transcendental,
-    cancel_common_factors,
-    contrast_table,
     count_mean_value,
     diagonal_count_exact,
     factor_out_minpoly,
@@ -55,12 +54,7 @@ def witnesses_for(k, X, shift):
 
 def verified_reports(k, X, shift):
     m = minimal_polynomial_for(shift)
-    reports = []
-    for pair in witnesses_for(k, X, shift):
-        reduced = cancel_common_factors(pair)
-        assert reduced.k > 0, "witness collapsed to a diagonal pair"
-        reports.append(verify_witness(reduced, m, X))
-    return reports
+    return [verify_witness(pair, m, X) for pair in witnesses_for(k, X, shift)]
 
 
 def test_criterion_1_transcendental_exactness():
@@ -180,16 +174,21 @@ def test_criterion_6_identity_suite():
           f"F = m*psi round-trips exact")
 
 
-def test_criterion_7_rational_contrast():
+def test_criterion_7_rational_contrast(capsys):
     half_reports = [report_for(2, X, HALF) for X in RATIONAL_GRID]
     nondiag = [r.nondiagonal for r in half_reports]
     assert nondiag[0] >= 8
     assert all(b >= a for a, b in zip(nondiag, nondiag[1:])), nondiag
     fit = fit_growth_exponent(half_reports)
     assert not fit.zero_count and fit.alpha > 1.0
-    rows = contrast_table(2, RATIONAL_GRID, HALF, SQRT2)
-    assert [r.rational_nondiag for r in rows] == nondiag
-    assert all(r.algebraic_nondiag == 0 for r in rows)
+    grid = ",".join(map(str, RATIONAL_GRID))
+    assert main([
+        "contrast", "--k", "2", "--X-list", grid, "--format", "json",
+        "--rational-shift", "rational:1/2", "--algebraic-shift", "minpoly:-2,0,1",
+    ]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["shift_rational_nondiag"] for r in rows] == nondiag
+    assert all(r["shift_algebraic_nondiag"] == 0 for r in rows)
     print(f"\nCRITERION 7 PASS: rational nondiag {nondiag} nondecreasing with "
           f"alpha = {fit.alpha:.3f} > 1; sqrt2 k=2 column identically zero")
 

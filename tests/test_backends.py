@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -299,6 +300,25 @@ def test_capacity_guard_beyond_int64(array_runs):
     with pytest.raises(CapacityError):
         count_mean_value(4, 60, TRANS, memory_budget_mb=22)
     assert array_runs == [(4, 60)]
+
+
+def test_int64_table_peak_within_guard(array_runs):
+    # the guard's 36 B per multiset covers the worst measured case, k=6, where
+    # the most multisets repeat a value; numpy is imported before tracing
+    k, X = 6, 30
+    assert counting._keyer_for(k, X, SQRT2).fits_int64
+    allowed = (
+        counting._ARRAY_BYTES_PER_MULTISET * comb(X + k - 1, k)
+        + counting._ARRAY_BYTES_PER_PAIR * comb(X + 1, 2)
+    )
+    tracemalloc.start()
+    try:
+        build_product_table(k, X, SQRT2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert array_runs == [(k, X)]
+    assert peak <= allowed, (peak, allowed)
 
 
 def test_numpy_stays_unimported_off_the_array_backend():

@@ -170,10 +170,93 @@ class TestWitnessAndLemmaCheck:
         code, out, _ = run(
             capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path)
         )
-        assert code == 0 and json.loads(out) == []
+        assert code == 0 and out == "[]\n"
+
+    def test_shared_values_cancelled_byte_identical(self, capsys, tmp_path):
+        # lemma-check cancels the shared 1 and reports the pair ((1, 7), (2, 4))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([{"x": [1, 1, 7], "y": [1, 2, 4]}]))
+        code, out, err = run(
+            capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path)
+        )
+        assert (code, err) == (0, "")
+        assert out == SHARED_VALUE_REPORT
+
+
+CONTRAST_CELL = (
+    "contrast", "--k", "2", "--X-list", "10,20,40",
+    "--rational-shift", "rational:1/2", "--algebraic-shift", "minpoly:-2,0,1",
+)
+
+CONTRAST_JSON = """\
+[
+  {
+    "X": 10,
+    "k": 2,
+    "shift_rational_nondiag": 24,
+    "shift_algebraic_nondiag": 0
+  },
+  {
+    "X": 20,
+    "k": 2,
+    "shift_rational_nondiag": 168,
+    "shift_algebraic_nondiag": 0
+  },
+  {
+    "X": 40,
+    "k": 2,
+    "shift_rational_nondiag": 1172,
+    "shift_algebraic_nondiag": 0
+  }
+]
+"""
+
+SHARED_VALUE_REPORT = """\
+[
+  {
+    "x": [
+      1,
+      7
+    ],
+    "y": [
+      2,
+      4
+    ],
+    "F_coeffs": [
+      -1,
+      2
+    ],
+    "psi_coeffs": [
+      1
+    ],
+    "rho": [
+      1,
+      1
+    ],
+    "C_a": "2/7",
+    "C_b": "1/7",
+    "norm_ok": true,
+    "lemma_ok": [
+      true,
+      true
+    ]
+  }
+]
+"""
 
 
 class TestContrastCommand:
+    def test_csv_byte_identical(self, capsys):
+        assert run(capsys, *CONTRAST_CELL) == (
+            0,
+            "X,k,shift_rational_nondiag,shift_algebraic_nondiag\n"
+            "10,2,24,0\n20,2,168,0\n40,2,1172,0\n",
+            "",
+        )
+
+    def test_json_byte_identical(self, capsys):
+        assert run(capsys, *CONTRAST_CELL, "--format", "json") == (0, CONTRAST_JSON, "")
+
     def test_csv(self, capsys):
         code, out, _ = run(
             capsys, "contrast", "--k", "2", "--X-list", "10,20",
@@ -193,6 +276,16 @@ class TestErrors:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "count", "--k", "2", "--X", "5")
         assert code == 1
+        for command in ("count", "witness"):
+            code, out, err = run(capsys, command, "--k", "2", "--shift", "rational:1/2")
+            assert (code, out) == (1, "") and "--X" in err, command
+
+    def test_witness_takes_no_format(self, capsys):
+        code, out, err = run(
+            capsys, "witness", "--k", "2", "--X", "8", "--shift", "rational:1/2",
+            "--format", "csv",
+        )
+        assert (code, out) == (1, "") and "--format" in err
 
     def test_nonincreasing_x_list(self, capsys):
         code, _, err = run(

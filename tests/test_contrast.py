@@ -1,23 +1,16 @@
 """Rational control experiments and the side-by-side contrast table."""
 
+import json
 import random
 from math import prod
 
 import pytest
 
 import oracles
-from shiftprod import (
-    Algebraic,
-    MinimalPolynomial,
-    Rational,
-    contrast_table,
-    count_mean_value,
-    shifted_product,
-)
+from shiftprod import Rational, count_mean_value, shifted_product
+from shiftprod.cli import main
 
 rng = random.Random(5050)
-
-SQRT2 = Algebraic(MinimalPolynomial([-2, 0, 1]))
 
 
 class TestRationalCount:
@@ -55,25 +48,37 @@ class TestRationalCount:
             assert nu.coords == prod(q * v + p for v in vals)
 
 
+def contrast(capsys, k, x_list, rational, algebraic):
+    """Exit code and rows of the `contrast` command's JSON output."""
+    code = main([
+        "contrast", "--k", str(k), "--X-list", x_list, "--format", "json",
+        "--rational-shift", rational, "--algebraic-shift", algebraic,
+    ])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if code == 0 else out
+
+
 class TestContrastTable:
-    def test_rational_vs_algebraic(self):
-        rows = contrast_table(2, (10, 20, 30), Rational(1, 2), SQRT2)
-        assert [r.X for r in rows] == [10, 20, 30]
-        assert all(r.algebraic_nondiag == 0 for r in rows)  # degree d = k = 2
-        rat = [r.rational_nondiag for r in rows]
+    def test_rational_vs_algebraic(self, capsys):
+        code, rows = contrast(capsys, 2, "10,20,30", "rational:1/2", "minpoly:-2,0,1")
+        assert code == 0
+        assert [(r["X"], r["k"]) for r in rows] == [(10, 2), (20, 2), (30, 2)]
+        assert all(r["shift_algebraic_nondiag"] == 0 for r in rows)  # degree d = k = 2
+        rat = [r["shift_rational_nondiag"] for r in rows]
         assert all(v > 0 for v in rat)
         assert rat == sorted(rat)
+        assert rat == [count_mean_value(2, X, Rational(1, 2)).nondiagonal for X in (10, 20, 30)]
 
-    def test_identical_shifts_identical_columns(self):
-        rows = contrast_table(2, (5, 10), Rational(1, 2), Rational(1, 2))
-        assert all(r.rational_nondiag == r.algebraic_nondiag for r in rows)
+    def test_identical_shifts_identical_columns(self, capsys):
+        code, rows = contrast(capsys, 2, "5,10", "rational:1/2", "rational:1/2")
+        assert code == 0 and len(rows) == 2
+        assert all(r["shift_rational_nondiag"] == r["shift_algebraic_nondiag"] for r in rows)
 
-    def test_k1_both_zero(self):
-        rows = contrast_table(1, (5, 10), Rational(1, 2), SQRT2)
-        assert all(r.rational_nondiag == 0 == r.algebraic_nondiag for r in rows)
+    def test_k1_both_zero(self, capsys):
+        code, rows = contrast(capsys, 1, "5,10", "rational:1/2", "minpoly:-2,0,1")
+        assert code == 0 and len(rows) == 2
+        assert all(r["shift_rational_nondiag"] == 0 == r["shift_algebraic_nondiag"] for r in rows)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            contrast_table(2, (10, 10), Rational(1, 2), SQRT2)
-        with pytest.raises(ValueError):
-            contrast_table(2, (), Rational(1, 2), SQRT2)
+    def test_grid_validation(self, capsys):
+        for bad in ("10,10", "20,10", "", "0,10"):
+            assert contrast(capsys, 2, bad, "rational:1/2", "minpoly:-2,0,1") == (1, ""), bad

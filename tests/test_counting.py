@@ -18,7 +18,6 @@ from shiftprod import (
     Transcendental,
     build_product_table,
     cancel_common_factors,
-    contrast_table,
     count_mean_value,
     diagonal_count_exact,
     elementary_symmetric,
@@ -54,11 +53,12 @@ class TestRepresentationCount:
         assert representation_count(nu, 2, 10, HALF) == 4
 
     def test_prebuilt_table_and_mismatch(self):
+        # repeated queries go to a prebuilt table; the one-shot call takes none
         table = build_product_table(2, 10, SQRT2)
         nu = shifted_product((1, 3), SQRT2)
-        assert representation_count(nu, 2, 10, SQRT2, table=table) == 2
-        with pytest.raises(ValueError):
-            representation_count(nu, 2, 11, SQRT2, table=table)
+        assert table.ordered_count(nu) == representation_count(nu, 2, 10, SQRT2) == 2
+        with pytest.raises(TypeError, match="table"):
+            representation_count(nu, 2, 10, SQRT2, table=table)
         with pytest.raises(ValueError):
             table.ordered_count(shifted_product((1, 3), HALF))
 
@@ -156,8 +156,6 @@ class TestCountMeanValue:
         for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
             with pytest.raises(TypeError, match="workers"):
                 engine(2, 5, SQRT2, workers=1)
-        with pytest.raises(TypeError, match="workers"):
-            contrast_table(2, [5], HALF, SQRT2, workers=1)
 
 
 class TestDiagonalCount:

@@ -16,7 +16,6 @@ from shiftprod import (
     Rational,
     SolutionPair,
     Transcendental,
-    cancel_common_factors,
     factor_out_minpoly,
     find_nondiagonal_witnesses,
     fit_growth_exponent,
@@ -142,15 +141,15 @@ class TestVerifyWitness:
         shift = Algebraic(SQRT2_M)
         for X in (50, 100):
             for pair in find_nondiagonal_witnesses(3, X, shift):
-                rep = verify_witness(cancel_common_factors(pair), SQRT2_M, X)
+                rep = verify_witness(pair, SQRT2_M, X)
                 assert rep.all_ok
                 assert all(r != 0 for r in rep.rho)
                 assert rep.psi.degree <= rep.k - 1 - rep.d
                 assert rep.minpoly.poly * rep.psi == rep.f
 
-    def test_shared_value_rejected(self):
-        with pytest.raises(PreconditionViolationError):
-            verify_witness(SolutionPair((1, 1, 7), (1, 2, 4)), HALF_M, 7)
+    def test_shared_values_cancelled(self):
+        shared = verify_witness(SolutionPair((1, 1, 7), (1, 2, 4)), HALF_M, 7)
+        assert shared == verify_witness(SolutionPair((1, 7), (2, 4)), HALF_M, 7)
 
     def test_diagonal_rejected(self):
         with pytest.raises(PreconditionViolationError):
@@ -195,8 +194,7 @@ class TestBoundConstants:
         both = []
         for X in (7, 25):
             reports = [
-                verify_witness(cancel_common_factors(p), HALF_M, X)
-                for p in find_nondiagonal_witnesses(2, X, half)
+                verify_witness(p, HALF_M, X) for p in find_nondiagonal_witnesses(2, X, half)
             ]
             per_x.append(measure_bound_constants(reports))
             both.extend(reports)
@@ -207,8 +205,7 @@ class TestBoundConstants:
     def test_rho_bound_with_measured_constant(self):
         half = Rational(1, 2)
         reports = [
-            verify_witness(cancel_common_factors(p), HALF_M, 40)
-            for p in find_nondiagonal_witnesses(2, 40, half)
+            verify_witness(p, HALF_M, 40) for p in find_nondiagonal_witnesses(2, 40, half)
         ]
         _, c_b = measure_bound_constants(reports)
         assert all(rho_bound_holds(r, c_b) for r in reports)
@@ -221,8 +218,7 @@ class TestBoundConstants:
         maxima = {}
         for X in (25, 50, 100):
             reports = [
-                verify_witness(cancel_common_factors(p), HALF_M, X)
-                for p in find_nondiagonal_witnesses(2, X, half)
+                verify_witness(p, HALF_M, X) for p in find_nondiagonal_witnesses(2, X, half)
             ]
             maxima[X] = measure_bound_constants(reports)[1]
         assert maxima[50] <= Fraction(11, 10) * maxima[25] + Fraction(5, 100)
