@@ -225,7 +225,7 @@ def _cmd_lemma_check(args) -> int:
     pairs = _load_witnesses(args.infile)
     x_cap = args.X
     if x_cap is None:
-        x_cap = max((max(p.x + p.y) for p in pairs), default=1)
+        x_cap = max((v for p in pairs for v in p.x + p.y), default=1)
     results = []
     failures = 0
     for pair in pairs:
@@ -287,10 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise _UsageError(f"workers must be an integer >= 1, got {args.workers}")
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

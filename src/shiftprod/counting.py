@@ -675,16 +675,7 @@ class CountReport:
         return round(self.elapsed * 1000)
 
     def csv_fields(self) -> list[str]:
-        return [
-            str(self.k),
-            str(self.X),
-            format_shift(self.shift),
-            str(self.mean_value),
-            str(self.diagonal),
-            str(self.nondiagonal),
-            str(self.distinct_products),
-            str(self.elapsed_ms),
-        ]
+        return [str(v) for v in self.to_json_dict().values()]
 
     def to_json_dict(self) -> dict:
         return {

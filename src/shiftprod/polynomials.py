@@ -129,22 +129,29 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        """Exact division over the rationals: self = other*q + r, deg r < deg other."""
+        """Exact division over the rationals: self = other*q + r, deg r < deg other.
+
+        Each quotient coefficient stays an int while the leading coefficient
+        divides it, so an exact division of integer polynomials never leaves
+        the integers.
+        """
         if not isinstance(other, Poly):
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero polynomial")
         ddeg = len(other.coeffs) - 1
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         if len(rem) <= ddeg:
-            return Poly(), Poly(rem)
-        lead = Fraction(other.coeffs[-1])
+            return Poly(), self
+        lead = other.coeffs[-1]
         quot: list[Coeff] = [0] * (len(rem) - ddeg)
         for i in range(len(rem) - 1, ddeg - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            f = c / lead
+            f, r = divmod(c, lead)
+            if r:
+                f = Fraction(c) / lead
             quot[i - ddeg] = f
             for j, dc in enumerate(other.coeffs):
                 rem[i - ddeg + j] -= f * dc
@@ -332,4 +339,4 @@ def reduce_mod_minpoly(p: Poly, m: MinimalPolynomial) -> tuple[Coeff, ...]:
 
 def norm_factor(n: int, m: MinimalPolynomial) -> int:
     """Exact value m(-n): the integer factor the field norm attaches to (n + theta)."""
-    return int(m.poly.evaluate(-n))
+    return m.poly.evaluate(-n)

@@ -7,7 +7,9 @@ the two sides cancelled) the difference polynomial
 
 has degree at most k-1 and vanishes at theta, so the minimal polynomial m of
 theta divides it exactly: F = m * Psi with Psi an integer polynomial (m is
-primitive, so Gauss's lemma applies).  Evaluating at t = -y_j turns the
+primitive, so Gauss's lemma applies).  Polynomial division keeps int
+coefficients while each step divides exactly, so Psi, rho and the norms below
+are computed over the integers throughout.  Evaluating at t = -y_j turns the
 factorization into k integer identities
 
     prod_i (x_i - y_j) = rho_j * m(-y_j),      rho_j = Psi(-y_j),
@@ -57,41 +59,17 @@ def product_difference(x: Sequence[int], y: Sequence[int]) -> Poly:
     return shift_product_poly(x) - shift_product_poly(y)
 
 
-def _integer_quotient(f: Poly, m: Poly) -> Optional[Poly]:
-    """f / m by synthetic division over the integers, or None unless exact."""
-    if not f.is_integral:
-        return None
-    d = len(m.coeffs) - 1
-    lead = m.coeffs[-1]
-    rem = list(f.coeffs)
-    quot = [0] * max(len(rem) - d, 0)
-    for i in range(len(rem) - 1, d - 1, -1):
-        q, r = divmod(rem[i], lead)
-        if r:
-            return None
-        quot[i - d] = q
-        for j, c in enumerate(m.coeffs):
-            rem[i - d + j] -= q * c
-    if any(rem[:d]):
-        return None
-    return Poly(quot)
-
-
 def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
     """Exact quotient Psi with f = m * Psi, raising if m does not divide f.
 
     A nonzero remainder means the pair that produced f is not a solution for
     this shift.  A divisible f with non-integer quotient cannot happen for a
     primitive m and integral f; it is reported as an invariant violation.
-    By Gauss's lemma an exact quotient is integral, so integer synthetic
-    division finds it; the division over the rationals only classifies a
-    failure.
+    One `divmod` does both: it leaves the integers only where m's leading
+    coefficient fails to divide, which for an exact quotient never happens.
     """
     if not f:
         raise ValueError("the difference polynomial must be nonzero")
-    quotient = _integer_quotient(f, m.poly)
-    if quotient is not None:
-        return quotient
     quotient, remainder = divmod(f, m.poly)
     if remainder:
         raise NotASolutionError(
@@ -121,8 +99,8 @@ class WitnessReport:
     f: Poly
     psi: Poly
     rho: tuple[int, ...]
-    f_coeff_ratios: tuple[Fraction, ...]
-    psi_coeff_ratios: tuple[Fraction, ...]
+    max_f_ratio: Fraction
+    max_psi_ratio: Fraction
     norm_identity_ok: bool
     lemma_ok: tuple[bool, ...]
 
@@ -142,20 +120,12 @@ class WitnessReport:
     def all_ok(self) -> bool:
         return all(self.lemma_ok) and self.norm_identity_ok and self.psi_degree_ok
 
-    @property
-    def max_f_ratio(self) -> Fraction:
-        return max(self.f_coeff_ratios)
-
-    @property
-    def max_psi_ratio(self) -> Fraction:
-        return max(self.psi_coeff_ratios)
-
     def to_json_dict(self) -> dict:
         return {
             "x": list(self.pair.x),
             "y": list(self.pair.y),
-            "F_coeffs": [int(c) for c in self.f.coeffs],
-            "psi_coeffs": [int(c) for c in self.psi.coeffs],
+            "F_coeffs": list(self.f.coeffs),
+            "psi_coeffs": list(self.psi.coeffs),
             "rho": list(self.rho),
             "C_a": str(self.max_f_ratio),
             "C_b": str(self.max_psi_ratio),
@@ -188,18 +158,12 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
 
     f = product_difference(pair.x, pair.y)
     psi = factor_out_minpoly(f, m)
-    rho = tuple(int(psi.evaluate(-yj)) for yj in pair.y)
+    rho = tuple(psi.evaluate(-yj) for yj in pair.y)
     lemma_ok = []
     for yj, rho_j in zip(pair.y, rho):
         lhs = math.prod(xi - yj for xi in pair.x)
         m_at = norm_factor(yj, m)
         lemma_ok.append(lhs == rho_j * m_at and rho_j != 0 and m_at != 0)
-    f_ratios = tuple(
-        Fraction(abs(int(f.coeff(j))), X ** (k - j)) for j in range(k)
-    )
-    psi_ratios = tuple(
-        Fraction(abs(int(psi.coeff(j))), X ** (k - d - j)) for j in range(k - d)
-    )
     return WitnessReport(
         pair=pair,
         minpoly=m,
@@ -207,8 +171,10 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
         f=f,
         psi=psi,
         rho=rho,
-        f_coeff_ratios=f_ratios,
-        psi_coeff_ratios=psi_ratios,
+        max_f_ratio=max(Fraction(abs(f.coeff(j)), X ** (k - j)) for j in range(k)),
+        max_psi_ratio=max(
+            Fraction(abs(psi.coeff(j)), X ** (k - d - j)) for j in range(k - d)
+        ),
         norm_identity_ok=norm_identity_check(pair, m),
         lemma_ok=tuple(lemma_ok),
     )

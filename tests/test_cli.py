@@ -156,6 +156,15 @@ class TestWitnessAndLemmaCheck:
             {"x": [1, 2], "y": [1, 2], "error": "diagonal after cancellation"}
         ]
 
+    def test_empty_sided_witness_same_with_and_without_x(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps([{"x": [], "y": []}]))
+        cmd = ("lemma-check", "--shift", "rational:1/2", "--in", str(path))
+        without_x = run(capsys, *cmd)
+        assert without_x == run(capsys, *cmd, "--X", "5")
+        assert without_x[0] == 3
+        assert without_x[2] == "witness x=[] y=[]: diagonal after cancellation\n"
+
     def test_transcendental_rejected(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text("[]")
@@ -330,6 +339,17 @@ class TestErrors:
         assert code == 0
         code, out, err = run(capsys, "witness", *cell)
         assert code == 2 and out == "" and "witness pairs" in err
+
+    def test_file_errors_are_usage_errors(self, capsys, tmp_path):
+        missing = tmp_path / "absent"
+        for args in (
+            ("lemma-check", "--shift", "rational:1/2", "--in", str(missing / "w.json")),
+            ("count", "--k", "1", "--X", "3", "--shift", "rational:1/2",
+             "--out", str(missing / "x.csv")),
+        ):
+            code, out, err = run(capsys, *args)
+            assert (code, out) == (1, ""), args
+            assert err.startswith("error:") and "Traceback" not in err, args
 
     def test_reducible_minpoly_rejected(self, capsys):
         code, _, err = run(

@@ -121,6 +121,14 @@ class TestCountMeanValue:
                 assert r.mean_value >= r.diagonal >= 0
                 assert r.nondiagonal % 2 == 0
 
+    def test_csv_fields_follow_the_json_keys(self):
+        r = count_mean_value(2, 10, SQRT2)
+        assert list(r.to_json_dict()) == counting.COUNT_CSV_HEADER.split(",")
+        assert r.csv_fields() == [
+            "2", "10", "minpoly:-2,0,1", "190", "190", "0",
+            str(r.distinct_products), str(r.elapsed_ms),
+        ]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             count_mean_value(0, 5, SQRT2)

@@ -74,7 +74,8 @@ class TestArithmetic:
 class TestDivmod:
     def test_exact_quotient(self):
         q, r = divmod(Poly([-2, -6, 1, 3]), Poly([-2, 0, 1]))
-        assert q == Poly([1, 3]) and not r
+        assert q.coeffs == (1, 3) and not r
+        assert all(type(c) is int for c in q.coeffs)
         assert q * Poly([-2, 0, 1]) + r == Poly([-2, -6, 1, 3])
 
     def test_with_remainder(self):
@@ -89,15 +90,42 @@ class TestDivmod:
         with pytest.raises(ZeroDivisionError):
             divmod(Poly([1]), Poly())
 
+    def test_exact_division_stays_integral(self):
+        # (2t - 1)(t + 3) = 2t^2 + 5t - 3, by the non-monic 2t - 1 and the monic t + 3
+        product = Poly([-3, 5, 2])
+        for div, expected in ((Poly([-1, 2]), (3, 1)), (Poly([3, 1]), (-1, 2))):
+            q, r = divmod(product, div)
+            assert q.coeffs == expected and not r
+            assert all(type(c) is int for c in q.coeffs)
+
+    def test_inexact_division_hand_values(self):
+        # t^2 + 1 = (2t - 1)(t/2 + 1/4) + 5/4
+        q, r = divmod(Poly([1, 0, 1]), Poly([-1, 2]))
+        assert q.coeffs == (Fraction(1, 4), Fraction(1, 2))
+        assert r.coeffs == (Fraction(5, 4),)
+        # 3t^2 + 2 = (2t^2 + 1) * 3/2 + 1/2: the quotient is 3/2, not the floor 1
+        q, r = divmod(Poly([2, 0, 3]), Poly([1, 0, 2]))
+        assert q.coeffs == (Fraction(3, 2),) and r.coeffs == (Fraction(1, 2),)
+
     def test_reconstruction_property(self):
         for _ in range(200):
             num = rand_poly(rational=rng.random() < 0.5)
-            div = rand_poly(rational=rng.random() < 0.5)
+            # a third of the divisors are integer polynomials whose leading
+            # coefficient is not +-1
+            if rng.random() < 1 / 3:
+                div = Poly([rng.randint(-30, 30) for _ in range(rng.randint(0, 4))]
+                           + [rng.choice([-1, 1]) * rng.randint(2, 30)])
+            else:
+                div = rand_poly(rational=rng.random() < 0.5)
             if not div:
                 continue
             q, r = divmod(num, div)
             assert div * q + r == num
             assert r.degree < div.degree
+            if num.is_integral and div.is_integral:
+                exact_q, exact_r = divmod(num * div, div)
+                assert exact_q == num and not exact_r
+                assert exact_q.is_integral
 
 
 class TestElementarySymmetric:
