@@ -125,6 +125,48 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value) -> str:
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _json_string(value)
+
+
+def _json_field(value) -> str:
+    if not isinstance(value, list):
+        return _json_scalar(value)
+    if not value:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(_json_scalar, value)) + "\n    ]"
+
+
+def _json_records(records: Sequence[dict]) -> str:
+    """`json.dumps(records, indent=2) + "\n"`, byte for byte, for flat records.
+
+    This is the fixed schema of `witness` and `lemma-check` output: a list of
+    dicts with string keys, whose values are ints, bools, strings, or lists
+    of ints and bools.  Strings go through the escaper `json.dumps` uses.
+    The indenting encoder behind `json.dumps(indent=2)` is pure Python and
+    was the slowest step of writing a large witness list, so this writer
+    stands in for it and must stay byte-equal to it.
+    """
+    if not records:
+        return "[]\n"
+    blocks = []
+    for record in records:
+        fields = ",\n    ".join(
+            [_json_string(key) + ": " + _json_field(value) for key, value in record.items()]
+        )
+        blocks.append("  {\n    " + fields + "\n  }" if fields else "  {}")
+    return "[\n" + ",\n".join(blocks) + "\n]\n"
+
+
 def _csv_text(header: str, rows: Sequence[Sequence], trailer: Sequence[str] = ()) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -196,7 +238,7 @@ def _cmd_witness(args) -> int:
         limit=args.limit,
         memory_budget_mb=args.memory_budget_mb,
     )
-    _emit(json.dumps([p.to_json_dict() for p in pairs], indent=2) + "\n", args.out)
+    _emit(_json_records([p.to_json_dict() for p in pairs]), args.out)
     return EXIT_OK
 
 
@@ -246,7 +288,7 @@ def _cmd_lemma_check(args) -> int:
                 file=sys.stderr,
             )
         results.append(report.to_json_dict())
-    _emit(json.dumps(results, indent=2) + "\n", args.out)
+    _emit(_json_records(results), args.out)
     return EXIT_CHECK if failures else EXIT_OK
 
 

@@ -791,6 +791,18 @@ class SolutionPair:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _canonical(cls, x: tuple[int, ...], y: tuple[int, ...]) -> "SolutionPair":
+        """A pair from sides the engine already built sorted, with x <= y.
+
+        Skips `__post_init__`'s validation and sorting; input read from
+        outside the engine goes through the public constructor instead.
+        """
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "x", x)
+        object.__setattr__(pair, "y", y)
+        return pair
+
     @property
     def k(self) -> int:
         return len(self.x)
@@ -807,13 +819,17 @@ def cancel_common_factors(pair: SolutionPair) -> SolutionPair:
     """Remove matched values from the two sides until none coincide.
 
     The result solves the same equation with smaller k; it is empty exactly
-    when the pair was diagonal.
+    when the pair was diagonal.  A pair whose sides share no value is
+    returned as it is.  Cancelling keeps the pair canonical: the smallest
+    value left is on the side that compared lower, so x <= y still holds.
     """
+    if set(pair.x).isdisjoint(pair.y):
+        return pair
     cx = Counter(pair.x)
     cy = Counter(pair.y)
     x = tuple(sorted((cx - cy).elements()))
     y = tuple(sorted((cy - cx).elements()))
-    return SolutionPair(x, y)
+    return SolutionPair._canonical(x, y)
 
 
 def find_nondiagonal_witnesses(
@@ -846,7 +862,7 @@ def find_nondiagonal_witnesses(
             f"k={k}, X={X} has {npairs} witness pairs "
             f"(~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
         )
-    # members are sorted tuples, so each (first, second) is already in the
-    # order a SolutionPair stores; only the kept pairs become SolutionPairs
+    # members are sorted tuples of ints, so each (first, second) is already
+    # canonical; only the kept pairs become SolutionPairs
     pairs = sorted(pair for members in groups for pair in combinations(sorted(members), 2))
-    return [SolutionPair(x, y) for x, y in pairs[:limit]]
+    return [SolutionPair._canonical(x, y) for x, y in pairs[:limit]]

@@ -21,7 +21,10 @@ and taking norms of the defining equation gives
 This module verifies all of these exactly on concrete witnesses, measures
 the normalised coefficient ratios |F_j| / X^(k-j) and |Psi_m| / X^(k-d-m)
 whose suprema play the role of the implicit constants, and fits growth
-exponents of non-diagonal counts from count reports.
+exponents of non-diagonal counts from count reports.  The ratios of one
+polynomial share the denominator X^n (n = k or k - d), so the largest is
+found in the integers as the largest |c_j| * X^j, and only that maximum
+becomes a `Fraction`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .counting import CountReport, SolutionPair, cancel_common_factors
-from .polynomials import MinimalPolynomial, Poly, norm_factor, shift_product_poly
+from .polynomials import MinimalPolynomial, Poly, elementary_symmetric, norm_factor
 from .shifts import Shift, Transcendental, minimal_polynomial_for
 
 
@@ -56,7 +59,9 @@ def product_difference(x: Sequence[int], y: Sequence[int]) -> Poly:
     """F(t) = prod(t + x_i) - prod(t + y_i); the monic leading terms cancel."""
     if len(x) != len(y) or len(x) < 1:
         raise ValueError("need two tuples of equal length k >= 1")
-    return shift_product_poly(x) - shift_product_poly(y)
+    # elementary_symmetric lists the coefficients highest power first
+    diff = [a - b for a, b in zip(elementary_symmetric(x), elementary_symmetric(y))]
+    return Poly(reversed(diff))
 
 
 def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
@@ -80,6 +85,15 @@ def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
             f"non-integral quotient {quotient} despite primitive {m.poly}"
         )
     return quotient
+
+
+def _max_ratio(p: Poly, X: int, n: int) -> Fraction:
+    """max |p_j| / X^(n-j) over j < n, compared in the integers as |p_j| * X^j."""
+    top, scale = 0, 1
+    for c in p.coeffs[:n]:
+        top = max(top, abs(c) * scale)
+        scale *= X
+    return Fraction(top, X**n)
 
 
 def norm_identity_check(pair: SolutionPair, m: MinimalPolynomial) -> bool:
@@ -171,10 +185,8 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
         f=f,
         psi=psi,
         rho=rho,
-        max_f_ratio=max(Fraction(abs(f.coeff(j)), X ** (k - j)) for j in range(k)),
-        max_psi_ratio=max(
-            Fraction(abs(psi.coeff(j)), X ** (k - d - j)) for j in range(k - d)
-        ),
+        max_f_ratio=_max_ratio(f, X, k),
+        max_psi_ratio=_max_ratio(psi, X, k - d),
         norm_identity_ok=norm_identity_check(pair, m),
         lemma_ok=tuple(lemma_ok),
     )

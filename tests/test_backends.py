@@ -23,6 +23,7 @@ from shiftprod import (
     CapacityError,
     MinimalPolynomial,
     Rational,
+    SolutionPair,
     Transcendental,
     build_product_table,
     count_mean_value,
@@ -107,8 +108,13 @@ def assert_backends_agree(array_runs, cells):
     array_runs.force()
     for cell in cells:
         before = len(array_runs)
-        assert settle(*cell) == expected[cell], cell
+        report, witnesses = settle(*cell)
+        assert (report, witnesses) == expected[cell], cell
         assert len(array_runs) == before + 2, f"array backend skipped {cell}"
+        # the engine builds its pairs without the validating constructor
+        for pair in witnesses + expected[cell][1]:
+            assert SolutionPair(pair.x, pair.y) == pair
+            assert all(type(v) is int for v in pair.x + pair.y), (cell, pair)
 
 
 def test_oracle_grid(array_runs):

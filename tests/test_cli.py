@@ -3,8 +3,16 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shiftprod.cli import main
+from shiftprod import (
+    find_nondiagonal_witnesses,
+    minimal_polynomial_for,
+    parse_shift,
+    verify_witness,
+)
+from shiftprod.cli import _json_records, main
 
 
 def run(capsys, *args):
@@ -190,6 +198,77 @@ class TestWitnessAndLemmaCheck:
         )
         assert (code, err) == (0, "")
         assert out == SHARED_VALUE_REPORT
+
+
+class TestJsonRecords:
+    """The witness and lemma-check writer is byte-equal to json.dumps(indent=2)."""
+
+    TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "日本", "\u2028", "😀", "a\"b\\c\nd"]
+    scalars = st.one_of(
+        st.integers(),
+        st.integers(min_value=2**64 - 2, max_value=2**200),
+        st.integers(min_value=-(2**200), max_value=-(2**64) + 2),
+        st.booleans(),
+        st.fractions().map(str),
+        st.text(),
+        st.sampled_from(TRICKY),
+    )
+    values = st.one_of(
+        scalars,
+        st.lists(st.one_of(st.integers(), st.integers(min_value=2**64))),
+        st.lists(st.booleans()),
+    )
+    keys = st.one_of(
+        st.sampled_from(["x", "y", "F_coeffs", "psi_coeffs", "rho", "C_a", "C_b", "error"]),
+        st.text(),
+    )
+    records = st.lists(st.dictionaries(keys, values))
+
+    @settings(deadline=None)
+    @given(records)
+    @example([])
+    @example([{}])
+    @example([{"x": [], "y": [], "lemma_ok": []}])
+    @example([{"rho": [-3, 2**64, -(2**70)], "lemma_ok": [True, False], "norm_ok": False}])
+    @example([{"C_a": "-5/3", "C_b": "1/18446744073709551616"}])
+    @example([{"x": [1], "y": [2], "error": 'a "quoted" \\ back\nslash é 日本 \u2028'}])
+    def test_equals_json_dumps(self, records):
+        assert _json_records(records) == json.dumps(records, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k, X, text", [(2, 40, "rational:1/2"), (3, 30, "minpoly:-2,0,1")])
+def test_written_files_equal_json_dumps_of_engine_dicts(tmp_path, k, X, text):
+    # a change to the writer must fail here before it changes a benchmark digest
+    shift = parse_shift(text)
+    m = minimal_polynomial_for(shift)
+    pairs = find_nondiagonal_witnesses(k, X, shift)
+    assert pairs
+    witnesses, reports = tmp_path / "w.json", tmp_path / "r.json"
+    code = main(
+        ["witness", "--k", str(k), "--X", str(X), "--shift", text, "--out", str(witnesses)]
+    )
+    assert code == 0
+    code = main(
+        ["lemma-check", "--shift", text, "--X", str(X), "--in", str(witnesses),
+         "--out", str(reports)]
+    )
+    assert code == 0
+    expected = [p.to_json_dict() for p in pairs]
+    assert witnesses.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+    expected = [verify_witness(p, m, X).to_json_dict() for p in pairs]
+    assert reports.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
+
+def test_error_entries_equal_json_dumps(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps([{"x": [3, 2], "y": [2, 3]}, {"x": [1, 4], "y": [2, 6]}]))
+    code, out, _ = run(capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path))
+    assert code == 3
+    expected = [
+        {"x": [2, 3], "y": [2, 3], "error": "diagonal after cancellation"},
+        {"x": [1, 4], "y": [2, 6], "error": "2t - 1 does not divide -3t - 8 (remainder -19/2)"},
+    ]
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 CONTRAST_CELL = (

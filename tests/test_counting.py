@@ -226,12 +226,20 @@ class TestWitnesses:
         first = find_nondiagonal_witnesses(3, 30, HALF)[0]
         built = []
         post_init = SolutionPair.__post_init__
+        canonical = SolutionPair._canonical
 
         def spy(pair):
             built.append(pair)
             post_init(pair)
 
+        def canonical_spy(x, y):
+            built.append((x, y))
+            return canonical(x, y)
+
+        # the engine's pairs are canonical already and skip __post_init__;
+        # count both constructors so neither may build the dropped pairs
         monkeypatch.setattr(SolutionPair, "__post_init__", spy)
+        monkeypatch.setattr(SolutionPair, "_canonical", canonical_spy)
         assert find_nondiagonal_witnesses(3, 30, HALF, limit=1) == [first]
         assert len(built) == 1
 

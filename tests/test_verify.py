@@ -1,10 +1,12 @@
 """Factorization-identity checks on witnesses, bound measurement, exponent fits."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from shiftprod import (
     Algebraic,
     CountReport,
@@ -16,6 +18,7 @@ from shiftprod import (
     Rational,
     SolutionPair,
     Transcendental,
+    cancel_common_factors,
     factor_out_minpoly,
     find_nondiagonal_witnesses,
     fit_growth_exponent,
@@ -23,6 +26,7 @@ from shiftprod import (
     minimal_polynomial_for,
     norm_factor,
     norm_identity_check,
+    parse_shift,
     product_difference,
     reference_exponent,
     rho_bound_holds,
@@ -223,6 +227,164 @@ class TestBoundConstants:
             maxima[X] = measure_bound_constants(reports)[1]
         assert maxima[50] <= Fraction(11, 10) * maxima[25] + Fraction(5, 100)
         assert maxima[100] <= Fraction(11, 10) * maxima[50] + Fraction(5, 100)
+
+
+class TestCancelCommonFactors:
+    def test_disjoint_pair_is_returned_itself(self):
+        pair = SolutionPair((1, 7), (2, 4))
+        assert cancel_common_factors(pair) is pair
+
+    def test_shared_values_cancelled_to_a_canonical_pair(self):
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            x = tuple(rng.randint(1, 6) for _ in range(k))
+            y = tuple(rng.randint(1, 6) for _ in range(k))
+            pair = SolutionPair(x, y)
+            cancelled = cancel_common_factors(pair)
+            left = tuple((Counter(x) - Counter(y)).elements())
+            right = tuple((Counter(y) - Counter(x)).elements())
+            # the public constructor validates, sorts and orders the sides
+            assert cancelled == SolutionPair(left, right)
+            if set(x).isdisjoint(y):
+                assert cancelled is pair
+
+
+class TestIntegerVerifyDifferential:
+    """verify_witness against oracles.py and sympy on random genuine witnesses.
+
+    sympy is a test oracle only.  The cubic shift has no witness in any cell
+    the engine settles quickly (none at k=4, X <= 150), so it is checked on
+    non-solutions and on synthetic multiples of its minimal polynomial.
+    """
+
+    CELLS = {
+        "rational:1/2": [(2, 30), (3, 12)],
+        "rational:-5/3": [(2, 20), (3, 10)],
+        "rational:3/2": [(2, 20), (3, 12)],
+        "minpoly:-2,0,1": [(3, 30), (4, 15)],
+        "minpoly:-3,0,2": [(3, 100)],
+    }
+    SHIFTS = list(CELLS) + ["minpoly:-1,-1,0,1"]
+
+    @staticmethod
+    def sympy_div(f, m):
+        """Quotient and remainder of f by m as Fraction lists, constant first."""
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        fs = sympy.Poly(list(reversed(f)), t, domain="QQ")
+        ms = sympy.Poly(list(reversed(m)), t, domain="QQ")
+        q, r = sympy.div(fs, ms)
+
+        def fractions(p):
+            return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+
+        return fractions(q), fractions(r)
+
+    @staticmethod
+    def trimmed(coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs
+
+    def genuine_pairs(self, text):
+        shift = parse_shift(text)
+        pairs = []
+        for k, X in self.CELLS[text]:
+            found = find_nondiagonal_witnesses(k, X, shift)
+            for pair in rng.sample(found, min(8, len(found))):
+                pairs.append((pair, X))
+                v = rng.randint(1, X)
+                pairs.append((SolutionPair(pair.x + (v,), pair.y + (v,)), X))
+        return shift, pairs
+
+    @pytest.mark.parametrize("text", list(CELLS))
+    def test_genuine_witnesses_match_the_oracles(self, text):
+        shift, pairs = self.genuine_pairs(text)
+        m = minimal_polynomial_for(shift)
+        assert pairs
+        for pair, X in pairs:
+            assert oracles.canonical(pair.x, shift) == oracles.canonical(pair.y, shift)
+            x = tuple(sorted((Counter(pair.x) - Counter(pair.y)).elements()))
+            y = tuple(sorted((Counter(pair.y) - Counter(pair.x)).elements()))
+            k, d = len(x), m.degree
+            f = self.trimmed(
+                a - b for a, b in zip(oracles.expand_shifted(x), oracles.expand_shifted(y))
+            )
+            psi, remainder = self.sympy_div(f, m.coeffs)
+            psi = self.trimmed(psi)
+            assert not any(remainder)
+            rep = verify_witness(pair, m, X)
+            assert rep.f.coeffs == tuple(f) and rep.psi.coeffs == tuple(psi)
+            rho = [sum(c * (-yj) ** j for j, c in enumerate(psi)) for yj in y]
+            assert list(rep.rho) == rho
+            for value in rep.f.coeffs + rep.psi.coeffs + rep.rho:
+                assert type(value) is int
+            # the per-term Fraction maxima the integer comparison replaced
+            c_a = max(Fraction(abs(f[j]) if j < len(f) else 0, X ** (k - j)) for j in range(k))
+            c_b = max(
+                Fraction(abs(psi[j]) if j < len(psi) else 0, X ** (k - d - j))
+                for j in range(k - d)
+            )
+            assert (rep.max_f_ratio, rep.max_psi_ratio) == (c_a, c_b)
+            assert (str(rep.max_f_ratio), str(rep.max_psi_ratio)) == (str(c_a), str(c_b))
+            assert rep.all_ok and rep.norm_identity_ok
+
+    @pytest.mark.parametrize("text", SHIFTS)
+    def test_non_solutions_keep_their_message(self, text):
+        shift = parse_shift(text)
+        m = minimal_polynomial_for(shift)
+        k = m.degree + 1
+        checked = 0
+        while checked < 20:
+            x = tuple(rng.randint(1, 25) for _ in range(k))
+            y = tuple(rng.randint(1, 25) for _ in range(k))
+            if not set(x).isdisjoint(y):
+                continue
+            if oracles.canonical(x, shift) == oracles.canonical(y, shift):
+                continue
+            pair = SolutionPair(x, y)
+            f = self.trimmed(
+                a - b
+                for a, b in zip(oracles.expand_shifted(pair.x), oracles.expand_shifted(pair.y))
+            )
+            _, remainder = self.sympy_div(f, m.coeffs)
+            message = f"{m.poly} does not divide {Poly(f)} (remainder {Poly(remainder)})"
+            with pytest.raises(NotASolutionError) as info:
+                verify_witness(pair, m, 25)
+            assert str(info.value) == message
+            checked += 1
+
+    def test_non_solution_message_literal(self):
+        with pytest.raises(NotASolutionError) as info:
+            verify_witness(SolutionPair((1, 4), (2, 6)), HALF_M, 6)
+        assert str(info.value) == "2t - 1 does not divide -3t - 8 (remainder -19/2)"
+
+    @pytest.mark.parametrize("text", SHIFTS)
+    def test_diagonal_and_shared_value_pairs_rejected(self, text):
+        m = minimal_polynomial_for(parse_shift(text))
+        d = m.degree
+        with pytest.raises(PreconditionViolationError, match="^diagonal after cancellation$"):
+            verify_witness(SolutionPair((2, 3, 5), (5, 3, 2)), m, 9)
+        # sharing all but d values leaves a pair with k = d
+        shared = tuple(range(20, 23))
+        pair = SolutionPair(shared + tuple(range(1, d + 1)), shared + tuple(range(6, 6 + d)))
+        expected = f"^k={d} must exceed the minimal-polynomial degree d={d}$"
+        with pytest.raises(PreconditionViolationError, match=expected):
+            verify_witness(pair, m, 30)
+
+    @pytest.mark.parametrize("text", SHIFTS)
+    def test_synthetic_multiples_factor_in_the_integers(self, text):
+        m = minimal_polynomial_for(parse_shift(text))
+        for _ in range(30):
+            psi = [rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 3))]
+            psi = self.trimmed(psi) or [1]
+            f = [int(c) for c in oracles.poly_mul(list(map(Fraction, m.coeffs)), psi)]
+            quotient, remainder = self.sympy_div(f, m.coeffs)
+            assert not any(remainder) and self.trimmed(quotient) == psi
+            got = factor_out_minpoly(Poly(f), m)
+            assert got.coeffs == tuple(psi)
+            assert all(type(c) is int for c in got.coeffs)
 
 
 def _report(k, X, shift, nondiag):
