@@ -34,9 +34,12 @@ and their ordered weights, and repeated words the colliding multisets, so
 one enumeration serves either the count or the witnesses.  When keys do not
 fit, equal products still give equal words, so a word of one row is exact;
 the rows of a word that two or more rows share are re-keyed exactly from
-their multisets and split by key.  Every other cell takes the dict backend:
-one dict update per multiset in arbitrary-precision integers.  It is the
-reference the tests compare the array backend against.
+their multisets and split by key.  Those groups are what the witness search
+returns, and the table of such a cell is read off them too: every row is
+one product but for the groups, and a lookup re-keys the rows of its key's
+word.  Every other cell takes the dict backend: one dict update per
+multiset in arbitrary-precision integers.  It is the reference the tests
+compare the array backend against.
 
 Both backends enumerate with one walker, `_walk`, which visits every
 non-decreasing prefix of a given length once with the keys K_i of its
@@ -57,7 +60,7 @@ import time
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial, lcm, prod
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .polynomials import Coeff, MinimalPolynomial, Poly, reduce_mod_minpoly
 from .shifts import Algebraic, CanonicalProduct, Rational, Shift, Transcendental
@@ -77,14 +80,10 @@ _ARRAY_MIN_MULTISETS = 1 << 20
 # The witnesses took 18.7-28.2.  On top comes the table of the X(X+1)/2
 # pairs, four int64 arrays, which is as big as the cell at k=2.  The dict
 # backend measured 66.5 B per table entry the same way; its guard keeps 96 B.
+# Keys beyond int64 peak lower, at the words, one sorted copy and a mask: 17.2
+# at k=4, X=60, 17.0 at k=4, X=100, 18.2 at k=5, X=30 and 19.9 at k=6, X=25.
 _ARRAY_BYTES_PER_MULTISET = 36
 _ARRAY_BYTES_PER_PAIR = 32
-# Keys beyond int64 keep the unsorted words beside their sorted copy, for
-# the exact re-key.  Peak bytes per multiset of the table by tracemalloc,
-# less the pair table: 33.8 at k=4, X=60, 33.1 at k=4, X=100, 37.6 at k=5,
-# X=30, 36.1 at k=5, X=40 and 40.9 at k=6, X=25; it grows with the share of
-# multisets that repeat a value, about k(k-1)/X.  The witnesses took 18-21.
-_WIDE_BYTES_PER_MULTISET = 42
 # Peak bytes per witness pair of find_nondiagonal_witnesses, by tracemalloc on
 # either backend: 273 at k=2, 290 at k=3, 302 at k=4 and 336 at k=6, since
 # every pair is sorted as a tuple before the kept ones become SolutionPairs.
@@ -237,8 +236,11 @@ def _walk_below(
         _walk_below(X, depth, visit, _extend(state, x), prefix + (x,), x, den, 1)
 
 
-def _dict_table(keyer, k: int, X: int) -> dict:
-    """Ordered weight of every canonical product: the dict backend's table."""
+def _dict_table(keyer, k: int, X: int):
+    """Distinct products, sum W, sum W^2 and a lookup of the ordered weights W.
+
+    The dict backend's table maps each canonical product's key to W.
+    """
     table: dict = {}
     get = table.get
     kfact = factorial(k)
@@ -253,7 +255,8 @@ def _dict_table(keyer, k: int, X: int) -> dict:
             table[key] = get(key, 0) + w
 
     _walk(keyer, X, k - 1, weigh)
-    return table
+    squares = sum(w * w for w in table.values())
+    return len(table), sum(table.values()), squares, lambda key: get(key, 0)
 
 
 def _dict_colliding_keys(keyer, k: int, X: int) -> frozenset:
@@ -327,48 +330,12 @@ def _word(key: int) -> int:
     return (key + _INT64_LIMIT) % _WORD_MODULUS - _INT64_LIMIT
 
 
-class _SortedFreq:
-    """Frequency table as sorted distinct int64 words and their int64 ordered weights.
-
-    `lone_key(word)` is the exact key of the one product a stored word
-    stands for, and `exact` maps exact keys to ordered weights for products
-    kept out of the arrays.  When every key fits in int64 the word is the
-    key (`lone_key` is `int`) and `exact` is empty.  Otherwise the words
-    that two or more multisets share are split by exact key into `exact`,
-    and `lone_key` re-keys the one multiset of a stored word.
-    """
-
-    __slots__ = ("words", "weights", "exact", "lone_key")
-
-    def __init__(self, words, weights, exact=None, lone_key=int):
-        self.words = words
-        self.weights = weights
-        self.exact = {} if exact is None else exact
-        self.lone_key = lone_key
-
-    def __len__(self) -> int:
-        return len(self.words) + len(self.exact)
-
-    def get(self, key: int, default: int = 0) -> int:
-        if key in self.exact:
-            return self.exact[key]
-        word = _word(key)
-        i = int(self.words.searchsorted(word))
-        if i < len(self.words) and self.words[i] == word and self.lone_key(word) == key:
-            return int(self.weights[i])
-        return default
-
-    def total(self) -> int:
-        return int(self.weights.sum()) + sum(self.exact.values())
-
-    def sum_of_squares(self) -> int:
-        # sum W^2 <= max(W) * sum W, so the int64 dot is exact under this guard
-        weights = self.weights
-        if int(weights.max(initial=0)) * int(weights.sum()) < _INT64_LIMIT:
-            squares = int(weights @ weights)
-        else:
-            squares = sum(w * w for w in weights.tolist())
-        return squares + sum(w * w for w in self.exact.values())
+def _sum_of_squares(weights) -> int:
+    """Sum of the squares of an int64 array, in Python ints."""
+    # sum W^2 <= max(W) * sum W, so the int64 dot is exact under this guard
+    if int(weights.max(initial=0)) * int(weights.sum()) < _INT64_LIMIT:
+        return int(weights @ weights)
+    return sum(w * w for w in weights.tolist())
 
 
 def _enumerate_rows(np, keyer, k: int, X: int):
@@ -444,104 +411,98 @@ def _orderings(kfact: int, multiset: tuple) -> int:
     return kfact // prod(factorial(n) for n in Counter(multiset).values())
 
 
-def _tied_runs(np, words, tied, members) -> list[list[tuple]]:
-    """The multisets of each word in `tied`, a list per word.
+def _shared_products(np, keyer, words, members) -> list[list[tuple]]:
+    """The multisets of every product that two or more rows share, a list per product.
 
-    `tied` holds words that two or more rows share.  A bitmap of their low
-    20 bits picks out their rows and few others; grouping the picked rows by
-    word and dropping the lone ones leaves exactly the rows of tied words.
+    Equal products give equal words, so one sort of the words finds the tied
+    words.  A bitmap of their low 20 bits picks out their rows and few
+    others, and grouping the picked rows by word and dropping the lone ones
+    leaves exactly the rows of tied words.  When the words are the keys each
+    tied word is one product; otherwise its multisets are re-keyed exactly,
+    grouped by key and the lone ones dropped.
     """
+    ordered = np.sort(words)
+    tied = ordered[1:][ordered[1:] == ordered[:-1]]
+    del ordered
+    if not len(tied):
+        return []
     low = (1 << 20) - 1
     bitmap = np.zeros(low + 1, dtype=bool)
     bitmap[tied & low] = True
     rows = np.flatnonzero(bitmap[words & low])
     rows = rows[np.argsort(words[rows], kind="stable")]
-    bounds = _run_bounds(np, words[rows])
+    bounds = _run_bounds(np, words[rows]).tolist()
     multisets = members(rows)
-    return [
-        multisets[i:j] for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist()) if j - i > 1
-    ]
-
-
-def _by_key(keyer, runs) -> dict:
-    """The multisets of the runs grouped by the exact keys of their products."""
-    groups: dict = {}
+    runs = [multisets[i:j] for i, j in zip(bounds[:-1], bounds[1:]) if j - i > 1]
+    if keyer.fits_int64:
+        return runs
+    by_key: dict = {}
     for run in runs:
         for multiset in run:
-            groups.setdefault(_rekey(keyer, multiset), []).append(multiset)
-    return groups
+            by_key.setdefault(_rekey(keyer, multiset), []).append(multiset)
+    return [group for group in by_key.values() if len(group) > 1]
 
 
-def _array_table(np, keyer, k: int, X: int) -> _SortedFreq:
-    """The frequency table from one sort of the cell's words.
+def _array_table(np, keyer, k: int, X: int):
+    """Distinct products, sum W, sum W^2 and a lookup, from one sort of the words.
 
-    Each run of equal words in sorted order is one distinct product when the
-    words are the keys.  A row weighs k! unless its multiset repeats a value,
-    so a run's ordered weight W is k! times its length less the shortfall of
-    those rows, a share of about k(k-1)/X.  Sorting the words alone and
-    patching W so spares an argsort, the gathers through its permutation and
-    a segmented sum.  When keys do not fit in int64, a run of one word is
-    still one product, and the runs of two or more rows ("tied words") are
-    re-keyed exactly and their weights moved to the table's exact dict.
+    When the words are the keys, each run of equal words in sorted order is
+    one distinct product.  A row weighs k! unless its multiset repeats a
+    value, so a run's ordered weight W is k! times its length less the
+    shortfall of those rows, a share of about k(k-1)/X.  Sorting the words
+    alone and patching W so spares an argsort, the gathers through its
+    permutation and a segmented sum.  When keys do not fit in int64, every
+    row is one product but for the shared products the witness search finds,
+    so the sums come from the row weights and those groups, and a lookup
+    re-keys the rows of its key's word.
     """
     words, weights, members = _enumerate_rows(np, keyer, k, X)
     kfact = factorial(k)
+    if not keyer.fits_int64:
+        counts = np.bincount(weights).tolist()
+        del weights
+        total = sum(w * n for w, n in enumerate(counts))
+        squares = sum(w * w * n for w, n in enumerate(counts))
+        groups = _shared_products(np, keyer, words, members)
+        for group in groups:
+            ws = [_orderings(kfact, multiset) for multiset in group]
+            squares += sum(ws) ** 2 - sum(w * w for w in ws)
+        distinct = len(words) - sum(len(group) - 1 for group in groups)
+
+        def wide_lookup(key: int) -> int:
+            multisets = members(np.flatnonzero(words == _word(key)))
+            return sum(_orderings(kfact, m) for m in multisets if _rekey(keyer, m) == key)
+
+        return distinct, total, squares, wide_lookup
     short = np.flatnonzero(weights != kfact)
     # sorted needles make the searchsorted below several times faster
     short = short[np.argsort(words[short])]
     short_words = words[short]
     shortfall = kfact - weights[short]
     del weights, short
-    if keyer.fits_int64:
-        # the words are the keys, so no lookup needs their order of rows
-        words.sort()
-        ordered, words = words, None
-    else:
-        ordered = np.sort(words)
-    bounds = _run_bounds(np, ordered)
-    distinct = ordered[bounds[:-1]]
-    del ordered
+    words.sort()
+    bounds = _run_bounds(np, words)
+    distinct = words[bounds[:-1]]
+    del words
     W = np.diff(bounds)  # run lengths until scaled
     del bounds
-    tied = None if keyer.fits_int64 else W > 1
     W *= kfact
     at = distinct.searchsorted(short_words)
     del short_words
     # int64 values keep ufunc.at on its fast path
     np.subtract.at(W, at, shortfall.astype(np.int64))
-    if tied is None:
-        return _SortedFreq(distinct, W)
 
-    def lone_key(word: int) -> int:
-        return _rekey(keyer, members(np.flatnonzero(words == word))[0])
+    def lookup(key: int) -> int:
+        i = int(distinct.searchsorted(_word(key)))
+        return int(W[i]) if i < len(distinct) and int(distinct[i]) == key else 0
 
-    exact = {}
-    if tied.any():
-        runs = _tied_runs(np, words, distinct[tied], members)
-        for key, multisets in _by_key(keyer, runs).items():
-            exact[key] = sum(_orderings(kfact, multiset) for multiset in multisets)
-        lone = ~tied
-        distinct, W = distinct[lone], W[lone]
-    return _SortedFreq(distinct, W, exact, lone_key)
+    return len(distinct), int(W.sum()), _sum_of_squares(W), lookup
 
 
 def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
-    """The multisets of every key that two or more multisets share, a list per key.
-
-    Colliding keys have repeated words in one sort.  When keys do not fit in
-    int64, the multisets of a repeated word are re-keyed exactly, grouped by
-    key and the lone ones dropped.
-    """
+    """The multisets of every key that two or more multisets share, a list per key."""
     words, _, members = _enumerate_rows(np, keyer, k, X)
-    ordered = np.sort(words)
-    tied = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
-    del ordered
-    if not len(tied):
-        return []
-    runs = _tied_runs(np, words, tied, members)
-    if keyer.fits_int64:
-        return runs
-    return [multisets for multisets in _by_key(keyer, runs).values() if len(multisets) > 1]
+    return _shared_products(np, keyer, words, members)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +510,10 @@ def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
-def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool, fits_int64: bool) -> None:
+def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool) -> None:
     entries = comb(X + k - 1, k)
     if array:
-        per_multiset = _ARRAY_BYTES_PER_MULTISET if fits_int64 else _WIDE_BYTES_PER_MULTISET
-        needed = entries * per_multiset + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
+        needed = entries * _ARRAY_BYTES_PER_MULTISET + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
     else:
         needed = entries * _BYTES_PER_TABLE_ENTRY
     if needed > memory_budget_mb * (1 << 20):
@@ -584,7 +544,7 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
     _require_int("memory budget (MiB)", memory_budget_mb, 1)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
-    _check_capacity(k, X, memory_budget_mb, np is not None, keyer.fits_int64)
+    _check_capacity(k, X, memory_budget_mb, np is not None)
     return keyer, np
 
 
@@ -592,37 +552,33 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
 class ProductTable:
     """Frequency table of canonical products over [1, X]^k for one shift.
 
-    Values are ordered-tuple multiplicities; their sum is X^k and the sum of
-    their squares is the mean value M.  The dict backend stores them in a
-    dict, the array backend in a `_SortedFreq`.
+    Values are ordered-tuple multiplicities W.  The build sums them as it
+    goes: their number is `distinct_products`, their sum is X^k and the sum
+    of their squares is the mean value M.  `ordered_count` reads one W
+    through the backend's lookup of a key.
     """
 
     k: int
     X: int
     shift: Shift
     _keyer: object
-    _freq: dict | _SortedFreq
+    distinct_products: int
+    _total: int
+    _mean_value: int
+    _lookup: Callable[[int], int]
 
     def ordered_count(self, nu: CanonicalProduct) -> int:
         """Number of ordered k-tuples in [1, X]^k whose product has canonical form nu."""
         if nu.shift != self.shift:
             raise ValueError("canonical product belongs to a different shift")
         key = self._keyer.encode(nu)
-        return 0 if key is None else self._freq.get(key, 0)
-
-    @property
-    def distinct_products(self) -> int:
-        return len(self._freq)
+        return 0 if key is None else self._lookup(key)
 
     def mean_value(self) -> int:
-        if isinstance(self._freq, dict):
-            return sum(v * v for v in self._freq.values())
-        return self._freq.sum_of_squares()
+        return self._mean_value
 
     def total_ordered_tuples(self) -> int:
-        if isinstance(self._freq, dict):
-            return sum(self._freq.values())
-        return self._freq.total()
+        return self._total
 
 
 def build_product_table(
@@ -634,8 +590,8 @@ def build_product_table(
 ) -> ProductTable:
     """Enumerate all multisets once and build the ordered-multiplicity table."""
     keyer, np = _settle(k, X, shift, memory_budget_mb)
-    freq = _dict_table(keyer, k, X) if np is None else _array_table(np, keyer, k, X)
-    table = ProductTable(k, X, shift, keyer, freq)
+    sums = _dict_table(keyer, k, X) if np is None else _array_table(np, keyer, k, X)
+    table = ProductTable(k, X, shift, keyer, *sums)
     if table.total_ordered_tuples() != X**k:
         raise RuntimeError(
             "ordering-weight bookkeeping lost tuples; this is an engine bug"

@@ -157,12 +157,6 @@ class Poly:
                 rem[i - ddeg + j] -= f * dc
         return Poly(quot), Poly(rem[:ddeg])
 
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Poly":
-        return divmod(self, other)[1]
-
     def __repr__(self) -> str:
         return f"Poly([{', '.join(map(str, self.coeffs))}])"
 

@@ -62,8 +62,9 @@ class Rational:
     q: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
-            raise ValueError("rational shift needs integer p and q")
+        for v in (self.p, self.q):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError("rational shift needs integer p and q")
         if self.q < 1:
             raise ValueError("rational shift needs q >= 1")
         if gcd(self.p, self.q) != 1:

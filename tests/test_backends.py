@@ -181,25 +181,36 @@ def test_wide_keys_grid(array_runs):
 @pytest.mark.parametrize(
     "cell", WIDE_CELLS + [(3, 20, HALF)], ids=lambda c: f"k{c[0]}-X{c[1]}-{format_shift(c[2])}"
 )
-def test_tied_words_split_exactly(array_runs, cell):
+def test_tied_words_split_exactly(array_runs, cell, monkeypatch):
     # HALF adds colliding products, whose multisets must stay grouped
     bits = 12
     mask = (1 << bits) - 1
     expected = settle(*cell)
     reference = build_product_table(*cell)
-    nus = lookups(*cell)
-    present = {key & mask for key in reference._freq}
+    counts = {nu: reference.ordered_count(nu) for nu in lookups(*cell)}
+    keys = {nu: reference._keyer.encode(nu) for nu in counts}
+    present = {keys[nu] & mask for nu, count in counts.items() if count}
     array_runs.force()
     array_runs.narrow(bits)
+    rekeyed = []
+    rekey = counting._rekey
+
+    def spy(keyer, multiset):
+        rekeyed.append(rekey(keyer, multiset))
+        return rekeyed[-1]
+
+    monkeypatch.setattr(counting, "_rekey", spy)
     assert settle(*cell) == expected
     table = build_product_table(*cell)
     assert array_runs == [cell[:2]] * 3
-    assert table._freq.exact, "no word was tied"
+    words = {}
+    for key in rekeyed:
+        words.setdefault(key & mask, set()).add(key)
+    assert any(len(split) > 1 for split in words.values()), "no tied word split by key"
     aliased = 0
-    for nu in nus:
-        count = reference.ordered_count(nu)
+    for nu, count in counts.items():
         assert table.ordered_count(nu) == count, nu
-        key = reference._keyer.encode(nu)
+        key = keys[nu]
         aliased += count == 0 and key is not None and key & mask in present
     assert aliased, "no absent product shares a word with a present one"
 
@@ -225,7 +236,8 @@ def test_array_table_lookups(array_runs):
     array_runs.force()
     for shift, reference in zip(shifts, references):
         table = build_product_table(k, X, shift)
-        assert isinstance(table._freq, counting._SortedFreq)
+        assert array_runs[-1:] == [(k, X)], shift
+        array_runs.clear()
         assert table.distinct_products == reference.distinct_products
         assert table.total_ordered_tuples() == X**k
         assert table.mean_value() == reference.mean_value()
@@ -238,7 +250,7 @@ def test_array_table_lookups(array_runs):
 
 
 def test_wide_tables_freed_without_cyclic_gc(array_runs):
-    # a table beyond int64 keeps its words and row lookup for lone words;
+    # a table beyond int64 keeps its words and rows for its lookup;
     # reference counting alone must still free it when a call drops it
     array_runs.force()
     for settle_cell in (count_mean_value, find_nondiagonal_witnesses):
@@ -259,12 +271,12 @@ def test_wide_tables_freed_without_cyclic_gc(array_runs):
 
 
 def test_sum_of_squares_overflow_guard():
-    def freq(weights):
-        keys = np.arange(len(weights), dtype=np.int64)
-        return counting._SortedFreq(keys, np.array(weights, dtype=np.int64))
+    def squares(weights):
+        return counting._sum_of_squares(np.array(weights, dtype=np.int64))
 
-    assert freq([2**40, 3]).sum_of_squares() == 2**80 + 9  # past int64: Python ints
-    assert freq([5, 1, 7]).sum_of_squares() == 75
+    assert squares([2**40, 3]) == 2**80 + 9  # past int64: Python ints
+    assert squares([5, 1, 7]) == 75
+    assert squares([]) == 0
 
 
 def test_bookkeeping_check_catches_lost_weight(array_runs, monkeypatch):
@@ -298,33 +310,34 @@ def test_capacity_guard_per_backend(monkeypatch):
         count_mean_value(3, 400, SQRT2, memory_budget_mb=512)
 
 
-def test_capacity_guard_beyond_int64(array_runs):
-    # 595,665 multisets: 20.5 MiB at 36 B each, 23.9 MiB at 42 B each
-    array_runs.force()
-    assert counting._keyer_for(4, 60, SQRT2).fits_int64
-    count_mean_value(4, 60, SQRT2, memory_budget_mb=22)
-    with pytest.raises(CapacityError):
-        count_mean_value(4, 60, TRANS, memory_budget_mb=22)
-    assert array_runs == [(4, 60)]
-
-
-def test_int64_table_peak_within_guard(array_runs):
-    # the guard's 36 B per multiset covers the worst measured case, k=6, where
-    # the most multisets repeat a value; numpy is imported before tracing
-    k, X = 6, 30
-    assert counting._keyer_for(k, X, SQRT2).fits_int64
+def assert_table_peak_within_guard(array_runs, k, X, shift):
+    # numpy is imported before tracing
     allowed = (
         counting._ARRAY_BYTES_PER_MULTISET * comb(X + k - 1, k)
         + counting._ARRAY_BYTES_PER_PAIR * comb(X + 1, 2)
     )
     tracemalloc.start()
     try:
-        build_product_table(k, X, SQRT2)
+        build_product_table(k, X, shift)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert array_runs == [(k, X)]
     assert peak <= allowed, (peak, allowed)
+
+
+def test_int64_table_peak_within_guard(array_runs):
+    # the guard's 36 B per multiset covers the worst measured case, k=6, where
+    # the most multisets repeat a value
+    assert counting._keyer_for(6, 30, SQRT2).fits_int64
+    assert_table_peak_within_guard(array_runs, 6, 30, SQRT2)
+
+
+def test_wide_table_peak_within_guard(array_runs):
+    # keys beyond int64 share the int64 path's guard; k=6 repeats the most values
+    assert not counting._keyer_for(6, 25, TRANS).fits_int64
+    array_runs.force()
+    assert_table_peak_within_guard(array_runs, 6, 25, TRANS)
 
 
 def test_numpy_stays_unimported_off_the_array_backend():

@@ -66,6 +66,13 @@ class TestDescriptors:
             Rational(1, -2)
         assert Rational(0, 1).p == 0
 
+    @pytest.mark.parametrize("p, q", [(True, 2), (1, True), (False, 1)])
+    def test_rational_rejects_bool(self, p, q):
+        # bool is an int subclass; Rational(True, 2) would format as
+        # "rational:True/2", which parse_shift rejects
+        with pytest.raises(ValueError):
+            Rational(p, q)
+
     def test_minimal_polynomial_for(self):
         assert minimal_polynomial_for(SQRT2) is SQRT2.minpoly
         m = minimal_polynomial_for(HALF)
