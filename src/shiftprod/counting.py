@@ -26,18 +26,23 @@ imports, k >= 2 and the cell has at least _ARRAY_MIN_MULTISETS multisets
 (smaller cells do not repay the numpy import).  With the first k-2 factors
 fixed the key is bilinear in the last two, a*x*y + b*(x + y) + c with
 (a, b, c) = (K_0, K_1, K_2), so it writes the words of all their pairs at
-once into one int64 array and sorts it once.  A key's word is the key
-modulo 2^64 in two's complement, which the int64 arithmetic computes by
-wrapping, and it is the key itself when the keyer proves that every key and
-partial key fits in int64.  Runs of equal words give the distinct products
-and their ordered weights, and repeated words the colliding multisets, so
-one enumeration serves either the count or the witnesses.  When keys do not
-fit, equal products still give equal words, so a word of one row is exact;
-the rows of a word that two or more rows share are re-keyed exactly from
-their multisets and split by key.  Those groups are what the witness search
-returns, and the table of such a cell is read off them too: every row is
-one product but for the groups, and a lookup re-keys the rows of its key's
-word.  Every other cell takes the dict backend: one dict update per
+once into one int64 array.  A key's word is the key modulo 2^64 in two's
+complement, which the int64 arithmetic computes by wrapping, and it is the
+key itself when the keyer proves that every key and partial key fits in
+int64.  Every result comes from that one array, sorted in place, and from
+the few rows whose multiset repeats a value, the only rows that weigh less
+than k!; no full-cell copy or temporary is built after the enumeration.
+Runs of equal words give the distinct products and, with the short rows,
+M, in one pass over chunks of the sorted words.  The words two or more rows
+share are the tied words: the witness search drops the sorted words and
+enumerates the cell again to pick out the rows of those words, a chunk at a
+time, unless there are none.  When keys do not fit, equal products still
+give equal words, so a word of one row is exact; the rows of a tied word
+are re-keyed exactly from their multisets and split by key.  Those groups
+are what the witness search returns, and the table of such a cell is read
+off them too: every row is one product but for the groups.  Its lookup
+enumerates the cell once more on its first call, to index the sorted words
+by row.  Every other cell takes the dict backend: one dict update per
 multiset in arbitrary-precision integers.  It is the reference the tests
 compare the array backend against.
 
@@ -56,10 +61,12 @@ longer than filling the whole table serially.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import islice, repeat
 from math import comb, factorial, lcm, prod
+from operator import itemgetter, mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .polynomials import Coeff, MinimalPolynomial, Poly, reduce_mod_minpoly
@@ -72,22 +79,35 @@ _BYTES_PER_TABLE_ENTRY = 96
 # The array backend pays for importing numpy (0.13-0.17 s) only on cells at
 # least this big.
 _ARRAY_MIN_MULTISETS = 1 << 20
-# Peak bytes per multiset of the int64 array backend's table, by tracemalloc
-# (which sees numpy buffers) for minpoly:-2,0,1 with numpy imported, less the
-# pair table: 24.1 at k=3, X=100, 25.9 at k=4, X=60, 27.3 at k=5, X=50, 29.5
-# at k=5, X=30, 34.9 at k=6, X=20 and 31.6 at k=6, X=30.  It grows with the
-# share of multisets that repeat a value, so 36 covers the worst case, k=6.
-# The witnesses took 18.7-28.2.  On top comes the table of the X(X+1)/2
-# pairs, four int64 arrays, which is as big as the cell at k=2.  The dict
-# backend measured 66.5 B per table entry the same way; its guard keeps 96 B.
-# Keys beyond int64 peak lower, at the words, one sorted copy and a mask: 17.2
-# at k=4, X=60, 17.0 at k=4, X=100, 18.2 at k=5, X=30 and 19.9 at k=6, X=25.
-_ARRAY_BYTES_PER_MULTISET = 36
-_ARRAY_BYTES_PER_PAIR = 32
-# Peak bytes per witness pair of find_nondiagonal_witnesses, by tracemalloc on
-# either backend: 273 at k=2, 290 at k=3, 302 at k=4 and 336 at k=6, since
-# every pair is sorted as a tuple before the kept ones become SolutionPairs.
+# Peak bytes of the array backend, by tracemalloc (which sees numpy buffers).
+# It holds the words (8 B) and weights (1 B, 2 at k = 6) of every multiset,
+# and for each multiset that repeats a value, comb(X+k-1, k) - comb(X, k) of
+# them, the count's short rows: word, shortfall and the argsort between them.
+# With numpy imported, and less 2.5 MiB of chunk temporaries and 32 B per pair
+# (below), tables peaked at 9.7 B per multiset at k=3, X=400 (1.5% repeat a
+# value), 10.6 at k=4, X=120 (9.5%), 13.1 at k=5, X=50 (33%), 19.2 at k=6,
+# X=30 (63%) and 18.3 at k=6, X=40 (53%); beyond int64 at 10.4 at k=4, X=100
+# and 13.8 at k=6, X=25.  The witnesses peaked lower.  The fixed part covers
+# numpy's own import, 6.6 MiB, and the chunk temporaries.  On top comes the
+# table of the X(X+1)/2 pairs of [1, X], whose enumeration is the whole peak
+# at k=2: 36.2 B per pair at k=2, X=1500.  The dict backend measured 66.5 B
+# per table entry the same way; its guard keeps 96 B.  A wide table's lookup
+# index, 16 B per multiset, is built only on a lookup and not guarded.
+_ARRAY_FIXED_BYTES = 10 << 20
+_ARRAY_BYTES_PER_MULTISET = 11
+_ARRAY_BYTES_PER_REPEAT = 16
+_ARRAY_BYTES_PER_PAIR = 40
+# Peak bytes per witness pair of find_nondiagonal_witnesses, by tracemalloc for
+# rational:1/2: 299 at k=2, X=1500, 170 at k=3, 156 at k=4 and 185 at k=6,
+# and 250 on the dict backend at k=2, X=600.  It holds every colliding
+# multiset as a tuple and every pair as a SolutionPair; at k=2 a multiset is
+# in the fewest pairs.
 _BYTES_PER_WITNESS_PAIR = 340
+# Values per chunk of the passes over a cell's sorted words and of the tie
+# search's pick of rows, so that their temporaries stay near 1 MiB
+_CHUNK = 1 << 16
+# The tie search marks tied words by their low bits in a 1 MiB bitmap
+_LOW_BITS = (1 << 20) - 1
 _INT64_LIMIT = 1 << 63
 _WORD_MODULUS = 1 << 64
 
@@ -330,12 +350,12 @@ def _word(key: int) -> int:
     return (key + _INT64_LIMIT) % _WORD_MODULUS - _INT64_LIMIT
 
 
-def _sum_of_squares(weights) -> int:
-    """Sum of the squares of an int64 array, in Python ints."""
-    # sum W^2 <= max(W) * sum W, so the int64 dot is exact under this guard
-    if int(weights.max(initial=0)) * int(weights.sum()) < _INT64_LIMIT:
-        return int(weights @ weights)
-    return sum(w * w for w in weights.tolist())
+def _dot(a, b) -> int:
+    """The sum of a_i * b_i over two non-negative int64 arrays, in Python ints."""
+    # the sum is at most max(a) * sum(b), so the int64 dot is exact under this guard
+    if int(a.max(initial=0)) * int(b.sum()) < _INT64_LIMIT:
+        return int(a @ b)
+    return sum(map(mul, a.tolist(), b.tolist()))
 
 
 def _enumerate_rows(np, keyer, k: int, X: int):
@@ -402,36 +422,72 @@ def _enumerate_rows(np, keyer, k: int, X: int):
     return words, weights, members
 
 
-def _run_bounds(np, ordered):
-    """Where each run of equal values of a sorted array starts, then its length."""
-    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+def _run_starts(np, ordered):
+    """Where each run of equal values of a sorted array starts."""
+    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
+def _runs(np, ordered):
+    """The runs of equal values of a sorted array, a chunk of whole runs at a time.
+
+    Yields (chunk, starts, lengths): a slice of the array, where each of its
+    runs starts in it and how long each is.  A chunk ends at the end of the
+    run that holds its _CHUNK-th value, so no run crosses a chunk's edge and
+    the temporaries stay chunk-sized however large the array.
+    """
+    n = len(ordered)
+    lo = 0
+    while lo < n:
+        hi = int(ordered.searchsorted(ordered[min(lo + _CHUNK, n) - 1], side="right"))
+        chunk = ordered[lo:hi]
+        starts = _run_starts(np, chunk)
+        yield chunk, starts, np.diff(starts, append=hi - lo)
+        lo = hi
+
+
+def _tie_bitmap(np, ordered):
+    """A bitmap of the low 20 bits of the values that entries of a sorted array share.
+
+    None if every value is distinct.  Consecutive windows of _CHUNK + 1
+    values overlap by one, so each neighbouring pair is compared once.
+    """
+    bitmap = np.zeros(_LOW_BITS + 1, dtype=bool)
+    for lo in range(0, len(ordered), _CHUNK):
+        window = ordered[lo:lo + _CHUNK + 1]
+        bitmap[window[1:][window[1:] == window[:-1]] & _LOW_BITS] = True
+    return bitmap if bitmap.any() else None
 
 
 def _orderings(kfact: int, multiset: tuple) -> int:
     return kfact // prod(factorial(n) for n in Counter(multiset).values())
 
 
-def _shared_products(np, keyer, words, members) -> list[list[tuple]]:
+def _shared_products(np, keyer, k: int, X: int, bitmap) -> list[list[tuple]]:
     """The multisets of every product that two or more rows share, a list per product.
 
-    Equal products give equal words, so one sort of the words finds the tied
-    words.  A bitmap of their low 20 bits picks out their rows and few
-    others, and grouping the picked rows by word and dropping the lone ones
-    leaves exactly the rows of tied words.  When the words are the keys each
-    tied word is one product; otherwise its multisets are re-keyed exactly,
-    grouped by key and the lone ones dropped.
+    `bitmap` marks the low 20 bits of the words that two or more rows share
+    (`_tie_bitmap`); equal products give equal words.  Without tied words
+    there is nothing to find.  Otherwise a second enumeration of the cell
+    picks, chunk by chunk, the rows whose low bits the bitmap marks: the
+    rows of tied words and few others.  Grouping the picked rows by word and
+    dropping the lone ones leaves exactly the rows of tied words.  When the
+    words are the keys each tied word is one product; otherwise its
+    multisets are re-keyed exactly, grouped by key and the lone ones dropped.
     """
-    ordered = np.sort(words)
-    tied = ordered[1:][ordered[1:] == ordered[:-1]]
-    del ordered
-    if not len(tied):
+    if bitmap is None:
         return []
-    low = (1 << 20) - 1
-    bitmap = np.zeros(low + 1, dtype=bool)
-    bitmap[tied & low] = True
-    rows = np.flatnonzero(bitmap[words & low])
-    rows = rows[np.argsort(words[rows], kind="stable")]
-    bounds = _run_bounds(np, words[rows]).tolist()
+    words, weights, members = _enumerate_rows(np, keyer, k, X)
+    del weights
+    rows = np.concatenate([
+        lo + np.flatnonzero(bitmap[words[lo:lo + _CHUNK] & _LOW_BITS])
+        for lo in range(0, len(words), _CHUNK)
+    ])
+    picked = words[rows]
+    del words
+    order = np.argsort(picked, kind="stable")
+    rows = rows[order]
+    bounds = _run_starts(np, picked[order]).tolist() + [len(rows)]
+    del picked, order
     multisets = members(rows)
     runs = [multisets[i:j] for i, j in zip(bounds[:-1], bounds[1:]) if j - i > 1]
     if keyer.fits_int64:
@@ -443,66 +499,115 @@ def _shared_products(np, keyer, words, members) -> list[list[tuple]]:
     return [group for group in by_key.values() if len(group) > 1]
 
 
-def _array_table(np, keyer, k: int, X: int):
-    """Distinct products, sum W, sum W^2 and a lookup, from one sort of the words.
-
-    When the words are the keys, each run of equal words in sorted order is
-    one distinct product.  A row weighs k! unless its multiset repeats a
-    value, so a run's ordered weight W is k! times its length less the
-    shortfall of those rows, a share of about k(k-1)/X.  Sorting the words
-    alone and patching W so spares an argsort, the gathers through its
-    permutation and a segmented sum.  When keys do not fit in int64, every
-    row is one product but for the shared products the witness search finds,
-    so the sums come from the row weights and those groups, and a lookup
-    re-keys the rows of its key's word.
-    """
+def _wide_index(np, keyer, k: int, X: int):
+    """The cell's words in sorted order, the row of each, and the rows' multisets."""
     words, weights, members = _enumerate_rows(np, keyer, k, X)
+    del weights
+    rows = words.argsort()
+    words.sort()
+    return words, rows, members
+
+
+def _wide_lookup(np, keyer, k: int, X: int) -> Callable[[int], int]:
+    """A lookup of W by key for keys beyond int64, indexed on its first call.
+
+    The first call enumerates the cell again and sorts its words with their
+    rows; every call then finds its key's word by bisection and re-keys that
+    word's multisets.  A table nobody looks up never builds the index.
+    """
     kfact = factorial(k)
+    index: list = []
+
+    def lookup(key: int) -> int:
+        if not index:
+            index.append(_wide_index(np, keyer, k, X))
+        words, rows, members = index[0]
+        word = _word(key)
+        i, j = words.searchsorted(word), words.searchsorted(word, side="right")
+        return sum(_orderings(kfact, m) for m in members(rows[i:j]) if _rekey(keyer, m) == key)
+
+    return lookup
+
+
+def _array_table(np, keyer, k: int, X: int):
+    """Distinct products, sum W, sum W^2 and a lookup, from one in-place sort of the words.
+
+    A row weighs k! unless its multiset repeats a value, a share of about
+    k(k-1)/X of the rows, so the rows' sum of weights and sum of squared
+    weights come from those short rows, and the second must equal the
+    diagonal count T.  When the words are the keys, each run of equal words
+    in sorted order is one distinct product of L rows, and its ordered weight
+    W is k!*L less the shortfall s of its short rows.  So
+    M = k!^2 * sum L^2 - 2k! * sum_u L_u s_u + sum_u s_u^2, where u runs over
+    the words of short rows, and one chunked pass over the sorted words and
+    the sorted short rows sums it.  When keys do not fit in int64, every row
+    is one product but for the shared products the witness search finds, so
+    M and the distinct products come from the rows' sums and those groups.
+    """
+    kfact = factorial(k)
+    words, weights, members = _enumerate_rows(np, keyer, k, X)
+    del members
+    n = len(words)
+    short = weights != kfact
+    short_weights = weights[short]
+    counts = np.bincount(short_weights).tolist()
+    full = n - len(short_weights)
+    total = kfact * full + sum(w * c for w, c in enumerate(counts))
+    squares = kfact * kfact * full + sum(w * w * c for w, c in enumerate(counts))
+    if squares != diagonal_count_exact(k, X):
+        raise RuntimeError("ordering-weight bookkeeping lost tuples; this is an engine bug")
+    del weights
     if not keyer.fits_int64:
-        counts = np.bincount(weights).tolist()
-        del weights
-        total = sum(w * n for w, n in enumerate(counts))
-        squares = sum(w * w * n for w, n in enumerate(counts))
-        groups = _shared_products(np, keyer, words, members)
+        del short, short_weights
+        words.sort()
+        bitmap = _tie_bitmap(np, words)
+        del words
+        groups = _shared_products(np, keyer, k, X, bitmap)
         for group in groups:
             ws = [_orderings(kfact, multiset) for multiset in group]
             squares += sum(ws) ** 2 - sum(w * w for w in ws)
-        distinct = len(words) - sum(len(group) - 1 for group in groups)
-
-        def wide_lookup(key: int) -> int:
-            multisets = members(np.flatnonzero(words == _word(key)))
-            return sum(_orderings(kfact, m) for m in multisets if _rekey(keyer, m) == key)
-
-        return distinct, total, squares, wide_lookup
-    short = np.flatnonzero(weights != kfact)
-    # sorted needles make the searchsorted below several times faster
-    short = short[np.argsort(words[short])]
+        distinct = n - sum(len(group) - 1 for group in groups)
+        return distinct, total, squares, _wide_lookup(np, keyer, k, X)
     short_words = words[short]
-    shortfall = kfact - weights[short]
-    del weights, short
+    del short
+    shortfall = kfact - short_weights  # in the weights' small dtype
+    del short_weights
+    order = short_words.argsort()
+    short_words.sort()  # in place, where a gather through order would copy
+    shortfall = shortfall[order]
+    del order
     words.sort()
-    bounds = _run_bounds(np, words)
-    distinct = words[bounds[:-1]]
-    del words
-    W = np.diff(bounds)  # run lengths until scaled
-    del bounds
-    W *= kfact
-    at = distinct.searchsorted(short_words)
-    del short_words
-    # int64 values keep ufunc.at on its fast path
-    np.subtract.at(W, at, shortfall.astype(np.int64))
+    distinct = length_squares = cross = shortfall_squares = 0
+    for chunk, starts, lengths in _runs(np, words):
+        distinct += len(starts)
+        length_squares += _dot(lengths, lengths)
+        a = int(short_words.searchsorted(chunk[0]))
+        b = int(short_words.searchsorted(chunk[-1], side="right"))
+        if a == b:
+            continue
+        at = _run_starts(np, short_words[a:b])
+        s = np.add.reduceat(shortfall[a:b], at, dtype=np.int64)
+        L = lengths[chunk[starts].searchsorted(short_words[a:b][at])]
+        cross += _dot(L, s)
+        shortfall_squares += _dot(s, s)
+    mean_value = kfact * kfact * length_squares - 2 * kfact * cross + shortfall_squares
 
     def lookup(key: int) -> int:
-        i = int(distinct.searchsorted(_word(key)))
-        return int(W[i]) if i < len(distinct) and int(distinct[i]) == key else 0
+        L = int(words.searchsorted(key, side="right") - words.searchsorted(key))
+        a = short_words.searchsorted(key)
+        b = short_words.searchsorted(key, side="right")
+        return kfact * L - int(shortfall[a:b].sum())
 
-    return len(distinct), int(W.sum()), _sum_of_squares(W), lookup
+    return distinct, total, mean_value, lookup
 
 
 def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
     """The multisets of every key that two or more multisets share, a list per key."""
-    words, _, members = _enumerate_rows(np, keyer, k, X)
-    return _shared_products(np, keyer, words, members)
+    words = _enumerate_rows(np, keyer, k, X)[0]
+    words.sort()
+    bitmap = _tie_bitmap(np, words)
+    del words
+    return _shared_products(np, keyer, k, X, bitmap)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +615,21 @@ def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
+def _array_bytes(k: int, X: int) -> int:
+    """The array backend's peak memory on a cell, by the measured figures above."""
+    multisets = comb(X + k - 1, k)
+    return (
+        _ARRAY_FIXED_BYTES
+        + multisets * _ARRAY_BYTES_PER_MULTISET
+        + (multisets - comb(X, k)) * _ARRAY_BYTES_PER_REPEAT
+        + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
+    )
+
+
 def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool) -> None:
     entries = comb(X + k - 1, k)
     if array:
-        needed = entries * _ARRAY_BYTES_PER_MULTISET + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
+        needed = _array_bytes(k, X)
     else:
         needed = entries * _BYTES_PER_TABLE_ENTRY
     if needed > memory_budget_mb * (1 << 20):
@@ -798,27 +914,47 @@ def find_nondiagonal_witnesses(
 ) -> list[SolutionPair]:
     """Deduplicated non-diagonal witness pairs, sorted lexicographically.
 
-    The array backend reads the colliding multisets off its one sorted
-    enumeration.  The dict backend makes two passes over the multiset space:
-    the first counts multisets per canonical product to find collisions
-    (there are few), the second collects the colliding multisets.  Each
-    colliding group of r multisets yields C(r, 2) unordered pairs, and
-    CapacityError is raised if they would not fit the memory budget.
-    Transcendental shifts are legal and return an empty list.  `limit`, if
-    given, keeps the first `limit` pairs and must not be negative.
+    Both backends make two passes over the multiset space: the first finds
+    the products that two or more multisets share (there are few), the
+    second collects their multisets.  The array backend finds them by
+    sorting its words in place and skips the second pass when there are
+    none.  Each colliding group of r multisets yields C(r, 2) unordered
+    pairs, and CapacityError is raised if they would not fit the memory
+    budget.  Transcendental shifts are legal and return an empty list.
+    `limit`, if given, keeps the first `limit` pairs and must not be
+    negative.
     """
     if limit is not None:
         _require_int("limit", limit, 0)
     keyer, np = _settle(k, X, shift, memory_budget_mb)
-    groups = _dict_groups(keyer, k, X) if np is None else _array_groups(np, keyer, k, X)
-    npairs = sum(comb(len(members), 2) for members in groups)
-    needed = npairs * _BYTES_PER_WITNESS_PAIR
-    if needed > memory_budget_mb * (1 << 20):
-        raise CapacityError(
-            f"k={k}, X={X} has {npairs} witness pairs "
-            f"(~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
+    # The colliding multisets and their pairs are new objects, millions on a
+    # rational cell, and none is in a reference cycle, so the cyclic
+    # collector would only rescan them again and again: it pauses until they
+    # are built, which nearly halves the time of such a cell.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        groups = _dict_groups(keyer, k, X) if np is None else _array_groups(np, keyer, k, X)
+        npairs = sum(comb(len(members), 2) for members in groups)
+        needed = npairs * _BYTES_PER_WITNESS_PAIR
+        if needed > memory_budget_mb * (1 << 20):
+            raise CapacityError(
+                f"k={k}, X={X} has {npairs} witness pairs "
+                f"(~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
+            )
+        # Each multiset lies in one group, so pairing the colliding multisets,
+        # taken in sorted order, with the later members of their sorted group
+        # yields the pairs in lexicographic order without sorting them.
+        # Members are sorted tuples of ints, so each pair is already canonical.
+        heads: list = []
+        for members in groups:
+            members.sort()
+            heads += zip(members, range(len(members) - 1), repeat(members))
+        heads.sort(key=itemgetter(0))
+        pairs = (
+            SolutionPair._canonical(x, y) for x, i, members in heads for y in members[i + 1:]
         )
-    # members are sorted tuples of ints, so each (first, second) is already
-    # canonical; only the kept pairs become SolutionPairs
-    pairs = sorted(pair for members in groups for pair in combinations(sorted(members), 2))
-    return [SolutionPair._canonical(x, y) for x, y in pairs[:limit]]
+        return list(islice(pairs, limit))
+    finally:
+        if enabled:
+            gc.enable()

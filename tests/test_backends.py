@@ -102,6 +102,25 @@ def array_runs(monkeypatch):
     return ArrayRuns(monkeypatch)
 
 
+@pytest.fixture(params=[None, 1, 2, 7], ids=lambda size: f"chunk{size or '-default'}")
+def chunk(request, monkeypatch):
+    """The default chunk of the array backend's passes, then chunks that cut most runs."""
+    if request.param:
+        monkeypatch.setattr(counting, "_CHUNK", request.param)
+    return request.param
+
+
+def enumerations(cell, witnesses):
+    """How often settle() enumerates a cell on the array backend.
+
+    Once for the count and once for the witnesses, and once more for each
+    tie search that finds tied words: the witnesses' search, and beyond int64
+    the count's too.
+    """
+    wide = not counting._keyer_for(*cell).fits_int64
+    return 2 + bool(witnesses) * (1 + wide)
+
+
 def assert_backends_agree(array_runs, cells):
     expected = {cell: settle(*cell) for cell in cells}
     assert array_runs == [], "small cells must take the dict backend by default"
@@ -110,14 +129,14 @@ def assert_backends_agree(array_runs, cells):
         before = len(array_runs)
         report, witnesses = settle(*cell)
         assert (report, witnesses) == expected[cell], cell
-        assert len(array_runs) == before + 2, f"array backend skipped {cell}"
+        assert len(array_runs) == before + enumerations(cell, witnesses), cell
         # the engine builds its pairs without the validating constructor
         for pair in witnesses + expected[cell][1]:
             assert SolutionPair(pair.x, pair.y) == pair
             assert all(type(v) is int for v in pair.x + pair.y), (cell, pair)
 
 
-def test_oracle_grid(array_runs):
+def test_oracle_grid(array_runs, chunk):
     cells = [(k, X, shift) for shift in (SQRT2, TRANS, HALF) for k in (2, 3) for X in range(1, 13)]
     assert_backends_agree(array_runs, cells)
 
@@ -131,13 +150,13 @@ def test_one_coordinate_stays_on_dict_backend(array_runs):
     assert array_runs == []
 
 
-def test_cubic_and_zero_factor_cells(array_runs):
+def test_cubic_and_zero_factor_cells(array_runs, chunk):
     assert_backends_agree(array_runs, [(3, 30, CUBIC), (2, 6, ZERO_FACTOR)])
     report, _ = settle(2, 6, ZERO_FACTOR)
     assert report.nondiagonal == 120
 
 
-def test_keys_alike_in_their_low_bits(array_runs):
+def test_keys_alike_in_their_low_bits(array_runs, chunk):
     # the witness search's low-bit bitmap passes 13 rows here whose keys
     # collide with no other; only its exact comparison leaves them out
     assert_backends_agree(array_runs, [(3, 60, HALF)])
@@ -181,7 +200,7 @@ def test_wide_keys_grid(array_runs):
 @pytest.mark.parametrize(
     "cell", WIDE_CELLS + [(3, 20, HALF)], ids=lambda c: f"k{c[0]}-X{c[1]}-{format_shift(c[2])}"
 )
-def test_tied_words_split_exactly(array_runs, cell, monkeypatch):
+def test_tied_words_split_exactly(array_runs, cell, monkeypatch, chunk):
     # HALF adds colliding products, whose multisets must stay grouped
     bits = 12
     mask = (1 << bits) - 1
@@ -202,7 +221,9 @@ def test_tied_words_split_exactly(array_runs, cell, monkeypatch):
     monkeypatch.setattr(counting, "_rekey", spy)
     assert settle(*cell) == expected
     table = build_product_table(*cell)
-    assert array_runs == [cell[:2]] * 3
+    # each of the count, the witnesses and the table enumerates the cell
+    # twice, since every narrowed cell has tied words
+    assert array_runs == [cell[:2]] * 6
     words = {}
     for key in rekeyed:
         words.setdefault(key & mask, set()).add(key)
@@ -213,6 +234,7 @@ def test_tied_words_split_exactly(array_runs, cell, monkeypatch):
         key = keys[nu]
         aliased += count == 0 and key is not None and key & mask in present
     assert aliased, "no absent product shares a word with a present one"
+    assert array_runs == [cell[:2]] * 7, "the lookups must build their index once"
 
 
 def test_array_runs_in_process_at_any_worker_count(array_runs, capsys):
@@ -226,7 +248,8 @@ def test_array_runs_in_process_at_any_worker_count(array_runs, capsys):
     expected = cli_outputs()
     array_runs.force()
     assert cli_outputs("--workers", "2") == expected
-    assert array_runs == [(3, 40)] * 2
+    assert expected[1] != "[]\n"
+    assert array_runs == [(3, 40)] * 3  # the witness search enumerates twice
 
 
 def test_array_table_lookups(array_runs):
@@ -249,17 +272,23 @@ def test_array_table_lookups(array_runs):
             assert table.ordered_count(shifted_product((10**10, 10**10), HALF)) == 0
 
 
+def look_up(k, X, shift):
+    """Build a table and look one product up, which indexes a wide table."""
+    return build_product_table(k, X, shift).ordered_count(shifted_product((1,) * k, shift))
+
+
 def test_wide_tables_freed_without_cyclic_gc(array_runs):
-    # a table beyond int64 keeps its words and rows for its lookup;
-    # reference counting alone must still free it when a call drops it
+    # a table beyond int64 keeps its words and rows once a lookup indexed
+    # them; reference counting alone must still free it when a call drops it
     array_runs.force()
-    for settle_cell in (count_mean_value, find_nondiagonal_witnesses):
+    calls = (count_mean_value, find_nondiagonal_witnesses, look_up)
+    for settle_cell in calls:
         settle_cell(4, 45, TRANS)  # numpy allocates its caches on first use
     enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
-        for settle_cell in (count_mean_value, find_nondiagonal_witnesses):
+        for settle_cell in calls:
             before = tracemalloc.get_traced_memory()[0]
             settle_cell(4, 45, TRANS)
             assert tracemalloc.get_traced_memory()[0] - before < 1 << 20, settle_cell
@@ -267,30 +296,83 @@ def test_wide_tables_freed_without_cyclic_gc(array_runs):
         tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert array_runs == [(4, 45)] * 4
+    assert array_runs == [(4, 45)] * 8
 
 
-def test_sum_of_squares_overflow_guard():
-    def squares(weights):
-        return counting._sum_of_squares(np.array(weights, dtype=np.int64))
+def test_wide_lookups_index_once(array_runs, monkeypatch):
+    # a count never indexes its table; the first lookup enumerates the cell
+    # once more to build the index, and later lookups enumerate nothing
+    indexed = []
+    wide_index = counting._wide_index
 
-    assert squares([2**40, 3]) == 2**80 + 9  # past int64: Python ints
-    assert squares([5, 1, 7]) == 75
-    assert squares([]) == 0
+    def spy(np_, keyer, k, X):
+        indexed.append((k, X))
+        return wide_index(np_, keyer, k, X)
+
+    monkeypatch.setattr(counting, "_wide_index", spy)
+    cell = (4, 45, TRANS)
+    reference = build_product_table(*cell)
+    array_runs.force()
+    count_mean_value(*cell)
+    table = build_product_table(*cell)
+    assert array_runs == [(4, 45)] * 2 and indexed == []
+    products = lookups(*cell)
+    assert table.ordered_count(products[0]) == reference.ordered_count(products[0])
+    assert array_runs == [(4, 45)] * 3 and indexed == [(4, 45)]
+    for nu in products[1:]:
+        assert table.ordered_count(nu) == reference.ordered_count(nu), nu
+    assert array_runs == [(4, 45)] * 3 and indexed == [(4, 45)]
 
 
-def test_bookkeeping_check_catches_lost_weight(array_runs, monkeypatch):
-    spy = counting._enumerate_rows
+def test_dot_overflow_guard():
+    def dot(a, b):
+        return counting._dot(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
 
-    def lose_one(np_, keyer, k, X):
-        keys, weights, members = spy(np_, keyer, k, X)
-        weights[-1] -= 1
-        return keys, weights, members
+    assert dot([2**40, 3], [2**40, 3]) == 2**80 + 9  # past int64: Python ints
+    assert dot([2**62, 1], [4, 5]) == 2**64 + 5
+    assert dot([5, 1, 7], [5, 1, 7]) == 75
+    assert dot([], []) == 0
+
+
+def corrupt_weights(monkeypatch, change):
+    """Apply change(weights, short) to the rows of every enumeration.
+
+    short lists the rows whose multiset repeats a value, in row order.
+    """
+    enumerate_rows = counting._enumerate_rows
+
+    def corrupted(np_, keyer, k, X):
+        words, weights, members = enumerate_rows(np_, keyer, k, X)
+        change(weights, np.flatnonzero(weights != weights.max()))
+        return words, weights, members
+
+    monkeypatch.setattr(counting, "_enumerate_rows", corrupted)
+
+
+@pytest.mark.parametrize("shift", [SQRT2, TRANS], ids=["int64", "wide"])
+def test_bookkeeping_check_catches_lost_weight(array_runs, monkeypatch, shift):
+    def lose_one(weights, short):
+        weights[short[0]] -= 1
 
     array_runs.force()
-    monkeypatch.setattr(counting, "_enumerate_rows", lose_one)
+    corrupt_weights(monkeypatch, lose_one)
     with pytest.raises(RuntimeError, match="bookkeeping"):
-        build_product_table(3, 10, SQRT2)
+        build_product_table(5, 10, shift)
+
+
+@pytest.mark.parametrize("shift", [SQRT2, TRANS], ids=["int64", "wide"])
+def test_bookkeeping_check_catches_moved_weight(array_runs, monkeypatch, shift):
+    # X^k still holds, so only the sum of squared row weights, the diagonal
+    # count T, shows the move
+    def move_one(weights, short):
+        weights[short[0]] += 1
+        weights[short[1]] -= 1
+
+    assert not counting._keyer_for(5, 10, TRANS).fits_int64
+    array_runs.force()
+    corrupt_weights(monkeypatch, move_one)
+    with pytest.raises(RuntimeError, match="bookkeeping"):
+        build_product_table(5, 10, shift)
 
 
 def test_without_numpy_falls_back_to_dict(array_runs, monkeypatch):
@@ -302,7 +384,7 @@ def test_without_numpy_falls_back_to_dict(array_runs, monkeypatch):
 
 
 def test_capacity_guard_per_backend(monkeypatch):
-    # 10.7M multisets: about 0.35 GiB on the array backend, 1 GiB at 96 B each
+    # 10.7M multisets: about 0.13 GiB on the array backend, 1 GiB at 96 B each
     report = count_mean_value(3, 400, SQRT2, memory_budget_mb=512)
     assert report.nondiagonal == 6246
     monkeypatch.setitem(sys.modules, "numpy", None)
@@ -310,38 +392,67 @@ def test_capacity_guard_per_backend(monkeypatch):
         count_mean_value(3, 400, SQRT2, memory_budget_mb=512)
 
 
-def assert_table_peak_within_guard(array_runs, k, X, shift):
-    # numpy is imported before tracing
-    allowed = (
-        counting._ARRAY_BYTES_PER_MULTISET * comb(X + k - 1, k)
-        + counting._ARRAY_BYTES_PER_PAIR * comb(X + 1, 2)
+def run_fresh(code):
+    """Run code in a new interpreter that imports shiftprod from this tree."""
+    src = os.path.dirname(os.path.dirname(shiftprod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=300,
     )
-    tracemalloc.start()
-    try:
-        build_product_table(k, X, shift)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert array_runs == [(k, X)]
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def assert_table_peak_within_guard(k, X, shift):
+    # traced from before numpy's import, which a command-line run pays too
+    code = f"""
+        import tracemalloc
+        tracemalloc.start()
+        from shiftprod import counting, parse_shift
+        enumerate_rows = counting._enumerate_rows
+        runs = []
+        counting._enumerate_rows = lambda *args: runs.append(1) or enumerate_rows(*args)
+        counting._ARRAY_MIN_MULTISETS = 0
+        counting.build_product_table({k}, {X}, parse_shift("{format_shift(shift)}"))
+        print(len(runs), tracemalloc.get_traced_memory()[1], counting._array_bytes({k}, {X}))
+    """
+    runs, peak, allowed = map(int, run_fresh(code).split())
+    assert runs == 1
     assert peak <= allowed, (peak, allowed)
 
 
-def test_int64_table_peak_within_guard(array_runs):
-    # the guard's 36 B per multiset covers the worst measured case, k=6, where
-    # the most multisets repeat a value
+def test_int64_table_peak_within_guard():
+    # k=6 has the largest share of multisets that repeat a value
     assert counting._keyer_for(6, 30, SQRT2).fits_int64
-    assert_table_peak_within_guard(array_runs, 6, 30, SQRT2)
+    assert_table_peak_within_guard(6, 30, SQRT2)
 
 
-def test_wide_table_peak_within_guard(array_runs):
+def test_wide_table_peak_within_guard():
     # keys beyond int64 share the int64 path's guard; k=6 repeats the most values
     assert not counting._keyer_for(6, 25, TRANS).fits_int64
+    assert_table_peak_within_guard(6, 25, TRANS)
+
+
+@pytest.mark.parametrize("settle_cell", [count_mean_value, find_nondiagonal_witnesses])
+def test_int64_cell_peaks_at_12_bytes_per_multiset(array_runs, settle_cell):
+    # the words (8 B) and weights (1 B) of each multiset, sorted in place;
+    # no full-cell copy or temporary besides
+    k, X = 3, 200
     array_runs.force()
-    assert_table_peak_within_guard(array_runs, 6, 25, TRANS)
+    assert counting._keyer_for(k, X, SQRT2).fits_int64
+    settle_cell(k, X, SQRT2)  # numpy allocates its caches on first use
+    tracemalloc.start()
+    try:
+        settle_cell(k, X, SQRT2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * comb(X + k - 1, k), peak
 
 
 def test_numpy_stays_unimported_off_the_array_backend():
-    code = textwrap.dedent(
+    run_fresh(
         """
         import sys
         import shiftprod.cli
@@ -354,9 +465,3 @@ def test_numpy_stays_unimported_off_the_array_backend():
         assert "numpy" not in sys.modules, "a small k=4 cell loaded numpy"
         """
     )
-    src = os.path.dirname(os.path.dirname(shiftprod.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr

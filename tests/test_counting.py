@@ -243,6 +243,35 @@ class TestWitnesses:
         assert find_nondiagonal_witnesses(3, 30, HALF, limit=1) == [first]
         assert len(built) == 1
 
+    def test_collector_paused_and_restored(self, monkeypatch):
+        # the search pauses the cyclic collector while it builds the pairs
+        # and leaves it as the caller had it, also when the build raises
+        states = []
+        canonical = SolutionPair._canonical
+
+        def spy(x, y):
+            states.append(gc.isenabled())
+            return canonical(x, y)
+
+        def fail(x, y):
+            raise RuntimeError("build failed")
+
+        enabled = gc.isenabled()
+        try:
+            monkeypatch.setattr(SolutionPair, "_canonical", spy)
+            for caller_has_it_on in (True, False):
+                (gc.enable if caller_has_it_on else gc.disable)()
+                assert find_nondiagonal_witnesses(2, 30, HALF)
+                assert gc.isenabled() is caller_has_it_on
+            assert states and not any(states)
+            monkeypatch.setattr(SolutionPair, "_canonical", fail)
+            gc.enable()
+            with pytest.raises(RuntimeError, match="build failed"):
+                find_nondiagonal_witnesses(2, 30, HALF)
+            assert gc.isenabled()
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
     def test_pairs_over_the_memory_budget(self):
         # 171,700 multisets fit a 32 MiB table; their 203,005 pairs do not
         assert count_mean_value(3, 100, HALF, memory_budget_mb=32).nondiagonal > 0
