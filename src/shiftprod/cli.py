@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .counting import (
     COUNT_CSV_HEADER,
@@ -117,12 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
+    """Write the chunks of text in turn, so a long output is never held whole."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -146,7 +147,7 @@ def _json_field(value) -> str:
     return "[\n      " + ",\n      ".join(map(_json_scalar, value)) + "\n    ]"
 
 
-def _json_records(records: Sequence[dict]) -> str:
+def _json_records(records: Iterable[dict]) -> Iterator[str]:
     """`json.dumps(records, indent=2) + "\n"`, byte for byte, for flat records.
 
     This is the fixed schema of `witness` and `lemma-check` output: a list of
@@ -154,17 +155,18 @@ def _json_records(records: Sequence[dict]) -> str:
     of ints and bools.  Strings go through the escaper `json.dumps` uses.
     The indenting encoder behind `json.dumps(indent=2)` is pure Python and
     was the slowest step of writing a large witness list, so this writer
-    stands in for it and must stay byte-equal to it.
+    stands in for it and must stay byte-equal to it.  It yields the text one
+    record at a time, so the records may come from a generator and neither
+    they nor the text are ever held whole.
     """
-    if not records:
-        return "[]\n"
-    blocks = []
+    opening = "[\n"
     for record in records:
         fields = ",\n    ".join(
             [_json_string(key) + ": " + _json_field(value) for key, value in record.items()]
         )
-        blocks.append("  {\n    " + fields + "\n  }" if fields else "  {}")
-    return "[\n" + ",\n".join(blocks) + "\n]\n"
+        yield opening + ("  {\n    " + fields + "\n  }" if fields else "  {}")
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
 def _csv_text(header: str, rows: Sequence[Sequence], trailer: Sequence[str] = ()) -> str:
@@ -188,9 +190,9 @@ def _cmd_count(args) -> int:
         memory_budget_mb=args.memory_budget_mb,
     )
     if args.format == "json":
-        _emit(json.dumps([report.to_json_dict()], indent=2) + "\n", args.out)
+        _emit([json.dumps([report.to_json_dict()], indent=2) + "\n"], args.out)
     else:
-        _emit(_csv_text(COUNT_CSV_HEADER, [report.csv_fields()]), args.out)
+        _emit([_csv_text(COUNT_CSV_HEADER, [report.csv_fields()])], args.out)
     return EXIT_OK
 
 
@@ -216,14 +218,14 @@ def _cmd_scan(args) -> int:
                 "reference_exponent": ref,
             },
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
         trailer = [
             f"# fitted_alpha={alpha_text}",
             f"# reference_exponent={ref_text}",
         ]
         _emit(
-            _csv_text(COUNT_CSV_HEADER, [r.csv_fields() for r in reports], trailer),
+            [_csv_text(COUNT_CSV_HEADER, [r.csv_fields() for r in reports], trailer)],
             args.out,
         )
     return EXIT_OK
@@ -238,7 +240,7 @@ def _cmd_witness(args) -> int:
         limit=args.limit,
         memory_budget_mb=args.memory_budget_mb,
     )
-    _emit(_json_records([p.to_json_dict() for p in pairs]), args.out)
+    _emit(_json_records(p.to_json_dict() for p in pairs), args.out)
     return EXIT_OK
 
 
@@ -306,9 +308,9 @@ def _cmd_contrast(args) -> int:
     if args.format == "json":
         keys = _CONTRAST_CSV_HEADER.split(",")
         payload = [dict(zip(keys, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     else:
-        _emit(_csv_text(_CONTRAST_CSV_HEADER, rows), args.out)
+        _emit([_csv_text(_CONTRAST_CSV_HEADER, rows)], args.out)
     return EXIT_OK
 
 

@@ -32,8 +32,9 @@ key itself when the keyer proves that every key and partial key fits in
 int64.  Every result comes from that one array, sorted in place, and from
 the few rows whose multiset repeats a value, the only rows that weigh less
 than k!; no full-cell copy or temporary is built after the enumeration.
-Runs of equal words give the distinct products and, with the short rows,
-M, in one pass over chunks of the sorted words.  The words two or more rows
+Each run of equal words is one distinct product, whose ordered weight W is
+k! per row less the shortfall of its short rows, and one pass over chunks
+of the sorted words sums M = sum W^2 run by run.  The words two or more rows
 share are the tied words: the witness search drops the sorted words and
 enumerates the cell again to pick out the rows of those words, a chunk at a
 time, unless there are none.  When keys do not fit, equal products still
@@ -66,7 +67,7 @@ import time
 from collections import Counter
 from itertools import islice, repeat
 from math import comb, factorial, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .polynomials import Coeff, MinimalPolynomial, Poly, reduce_mod_minpoly
@@ -350,12 +351,12 @@ def _word(key: int) -> int:
     return (key + _INT64_LIMIT) % _WORD_MODULUS - _INT64_LIMIT
 
 
-def _dot(a, b) -> int:
-    """The sum of a_i * b_i over two non-negative int64 arrays, in Python ints."""
-    # the sum is at most max(a) * sum(b), so the int64 dot is exact under this guard
-    if int(a.max(initial=0)) * int(b.sum()) < _INT64_LIMIT:
-        return int(a @ b)
-    return sum(map(mul, a.tolist(), b.tolist()))
+def _sum_of_squares(values) -> int:
+    """The sum of the squares of a non-negative int64 array, in Python ints."""
+    # the sum is at most max * sum, so the int64 dot is exact under this guard
+    if int(values.max(initial=0)) * int(values.sum()) < _INT64_LIMIT:
+        return int(values @ values)
+    return sum(v * v for v in values.tolist())
 
 
 def _enumerate_rows(np, keyer, k: int, X: int):
@@ -445,15 +446,17 @@ def _runs(np, ordered):
         lo = hi
 
 
-def _tie_bitmap(np, ordered):
-    """A bitmap of the low 20 bits of the values that entries of a sorted array share.
+def _tie_bitmap(np, words):
+    """A bitmap of the low 20 bits of the values that two or more words share.
 
-    None if every value is distinct.  Consecutive windows of _CHUNK + 1
-    values overlap by one, so each neighbouring pair is compared once.
+    Sorts `words` in place.  None if every value is distinct.  Consecutive
+    windows of _CHUNK + 1 sorted values overlap by one, so each neighbouring
+    pair is compared once.
     """
+    words.sort()
     bitmap = np.zeros(_LOW_BITS + 1, dtype=bool)
-    for lo in range(0, len(ordered), _CHUNK):
-        window = ordered[lo:lo + _CHUNK + 1]
+    for lo in range(0, len(words), _CHUNK):
+        window = words[lo:lo + _CHUNK + 1]
         bitmap[window[1:][window[1:] == window[:-1]] & _LOW_BITS] = True
     return bitmap if bitmap.any() else None
 
@@ -537,10 +540,9 @@ def _array_table(np, keyer, k: int, X: int):
     weights come from those short rows, and the second must equal the
     diagonal count T.  When the words are the keys, each run of equal words
     in sorted order is one distinct product of L rows, and its ordered weight
-    W is k!*L less the shortfall s of its short rows.  So
-    M = k!^2 * sum L^2 - 2k! * sum_u L_u s_u + sum_u s_u^2, where u runs over
-    the words of short rows, and one chunked pass over the sorted words and
-    the sorted short rows sums it.  When keys do not fit in int64, every row
+    W is k!*L less the summed shortfall of its short rows.  One chunked pass
+    over the sorted words and the sorted short rows builds each chunk's W
+    and sums M = sum W^2 run by run.  When keys do not fit in int64, every row
     is one product but for the shared products the witness search finds, so
     M and the distinct products come from the rows' sums and those groups.
     """
@@ -559,7 +561,6 @@ def _array_table(np, keyer, k: int, X: int):
     del weights
     if not keyer.fits_int64:
         del short, short_weights
-        words.sort()
         bitmap = _tie_bitmap(np, words)
         del words
         groups = _shared_products(np, keyer, k, X, bitmap)
@@ -577,20 +578,18 @@ def _array_table(np, keyer, k: int, X: int):
     shortfall = shortfall[order]
     del order
     words.sort()
-    distinct = length_squares = cross = shortfall_squares = 0
+    distinct = mean_value = 0
     for chunk, starts, lengths in _runs(np, words):
         distinct += len(starts)
-        length_squares += _dot(lengths, lengths)
+        W = lengths * kfact
         a = int(short_words.searchsorted(chunk[0]))
         b = int(short_words.searchsorted(chunk[-1], side="right"))
-        if a == b:
-            continue
-        at = _run_starts(np, short_words[a:b])
-        s = np.add.reduceat(shortfall[a:b], at, dtype=np.int64)
-        L = lengths[chunk[starts].searchsorted(short_words[a:b][at])]
-        cross += _dot(L, s)
-        shortfall_squares += _dot(s, s)
-    mean_value = kfact * kfact * length_squares - 2 * kfact * cross + shortfall_squares
+        if a < b:
+            # each short word's summed shortfall, at the run of that word
+            at = _run_starts(np, short_words[a:b])
+            run = chunk[starts].searchsorted(short_words[a:b][at])
+            W[run] -= np.add.reduceat(shortfall[a:b], at, dtype=np.int64)
+        mean_value += _sum_of_squares(W)
 
     def lookup(key: int) -> int:
         L = int(words.searchsorted(key, side="right") - words.searchsorted(key))
@@ -603,10 +602,7 @@ def _array_table(np, keyer, k: int, X: int):
 
 def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
     """The multisets of every key that two or more multisets share, a list per key."""
-    words = _enumerate_rows(np, keyer, k, X)[0]
-    words.sort()
-    bitmap = _tie_bitmap(np, words)
-    del words
+    bitmap = _tie_bitmap(np, _enumerate_rows(np, keyer, k, X)[0])
     return _shared_products(np, keyer, k, X, bitmap)
 
 
@@ -626,16 +622,11 @@ def _array_bytes(k: int, X: int) -> int:
     )
 
 
-def _check_capacity(k: int, X: int, memory_budget_mb: int, array: bool) -> None:
-    entries = comb(X + k - 1, k)
-    if array:
-        needed = _array_bytes(k, X)
-    else:
-        needed = entries * _BYTES_PER_TABLE_ENTRY
+def _check_budget(needed: int, memory_budget_mb: int, what: str) -> None:
+    """Raise CapacityError if `needed` bytes, of `what`, exceed the budget."""
     if needed > memory_budget_mb * (1 << 20):
         raise CapacityError(
-            f"k={k}, X={X} needs ~{entries} table entries "
-            f"(~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
+            f"{what} (~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
         )
 
 
@@ -660,7 +651,9 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
     _require_int("memory budget (MiB)", memory_budget_mb, 1)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
-    _check_capacity(k, X, memory_budget_mb, np is not None)
+    entries = comb(X + k - 1, k)
+    needed = entries * _BYTES_PER_TABLE_ENTRY if np is None else _array_bytes(k, X)
+    _check_budget(needed, memory_budget_mb, f"k={k}, X={X} needs ~{entries} table entries")
     return keyer, np
 
 
@@ -936,12 +929,10 @@ def find_nondiagonal_witnesses(
     try:
         groups = _dict_groups(keyer, k, X) if np is None else _array_groups(np, keyer, k, X)
         npairs = sum(comb(len(members), 2) for members in groups)
-        needed = npairs * _BYTES_PER_WITNESS_PAIR
-        if needed > memory_budget_mb * (1 << 20):
-            raise CapacityError(
-                f"k={k}, X={X} has {npairs} witness pairs "
-                f"(~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
-            )
+        _check_budget(
+            npairs * _BYTES_PER_WITNESS_PAIR, memory_budget_mb,
+            f"k={k}, X={X} has {npairs} witness pairs",
+        )
         # Each multiset lies in one group, so pairing the colliding multisets,
         # taken in sorted order, with the later members of their sorted group
         # yields the pairs in lexicographic order without sorting them.

@@ -324,14 +324,15 @@ def test_wide_lookups_index_once(array_runs, monkeypatch):
     assert array_runs == [(4, 45)] * 3 and indexed == [(4, 45)]
 
 
-def test_dot_overflow_guard():
-    def dot(a, b):
-        return counting._dot(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+def test_sum_of_squares_overflow_guard():
+    def sum_of_squares(values):
+        return counting._sum_of_squares(np.array(values, dtype=np.int64))
 
-    assert dot([2**40, 3], [2**40, 3]) == 2**80 + 9  # past int64: Python ints
-    assert dot([2**62, 1], [4, 5]) == 2**64 + 5
-    assert dot([5, 1, 7], [5, 1, 7]) == 75
-    assert dot([], []) == 0
+    assert sum_of_squares([2**40, 3]) == 2**80 + 9  # past int64: Python ints
+    assert sum_of_squares([2**32, 5]) == 2**64 + 25
+    assert sum_of_squares([2**31, 2**31]) == 2**63  # one past the largest int64
+    assert sum_of_squares([5, 1, 7]) == 75
+    assert sum_of_squares([]) == 0
 
 
 def corrupt_weights(monkeypatch, change):

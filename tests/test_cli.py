@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: formats, round trips, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -233,7 +234,7 @@ class TestJsonRecords:
     @example([{"C_a": "-5/3", "C_b": "1/18446744073709551616"}])
     @example([{"x": [1], "y": [2], "error": 'a "quoted" \\ back\nslash é 日本 \u2028'}])
     def test_equals_json_dumps(self, records):
-        assert _json_records(records) == json.dumps(records, indent=2) + "\n"
+        assert "".join(_json_records(records)) == json.dumps(records, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("k, X, text", [(2, 40, "rational:1/2"), (3, 30, "minpoly:-2,0,1")])
@@ -257,6 +258,26 @@ def test_written_files_equal_json_dumps_of_engine_dicts(tmp_path, k, X, text):
     assert witnesses.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
     expected = [verify_witness(p, m, X).to_json_dict() for p in pairs]
     assert reports.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
+
+def test_witness_command_peaks_near_the_engine(tmp_path):
+    # the writer streams one record at a time, so the command holds little
+    # beyond the engine's own pair list, which the memory budget is sized for
+    k, X, text = 3, 60, "rational:1/2"
+    argv = ["witness", "--k", str(k), "--X", str(X), "--shift", text, "--out", str(tmp_path / "w")]
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    main(argv)  # first-use caches, outside the measurement
+    engine = peak(lambda: find_nondiagonal_witnesses(k, X, parse_shift(text)))
+    command = peak(lambda: main(argv))
+    assert command <= 1.2 * engine, (command, engine)
 
 
 def test_error_entries_equal_json_dumps(capsys, tmp_path):

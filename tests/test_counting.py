@@ -150,7 +150,8 @@ class TestCountMeanValue:
                     engine(k, X, SQRT2)
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
+        message = r"^k=3, X=400 needs ~10746800 table entries \(~\d+ MiB\), over the 1 MiB budget$"
+        with pytest.raises(CapacityError, match=message):
             count_mean_value(3, 400, SQRT2, memory_budget_mb=1)
 
     def test_rejects_bad_memory_budget(self):
