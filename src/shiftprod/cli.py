@@ -5,10 +5,14 @@ engine directly: count, scan and contrast call `count_mean_value` once per
 cell, witness calls `find_nondiagonal_witnesses`, and lemma-check calls
 `verify_witness`, which cancels shared values itself.  `--format` (csv or
 json) applies to count, scan and contrast; witness and lemma-check always
-write JSON.  Exit codes: 0 success / all checks pass, 1 usage or
-configuration error, 2 capacity (memory budget) error, 3 check failure
-(non-solution, failed identity, or diagonal input where a witness was
-required).
+write JSON.  count, scan and contrast hand their rows to one writer, whose
+CSV takes its header from the first row's keys.  Every flat JSON list
+(count, contrast, witness, lemma-check) comes from one fixed-schema writer,
+byte-equal to `json.dumps(indent=2)`; scan's JSON document, whose rows sit
+beside the exponent fit, comes from `json.dumps` itself.  Exit codes: 0
+success / all checks pass, 1 usage or configuration error, 2 capacity
+(memory budget) error, 3 check failure (non-solution, failed identity, or
+diagonal input where a witness was required).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .counting import (
-    COUNT_CSV_HEADER,
     DEFAULT_MEMORY_BUDGET_MB,
     CapacityError,
     SolutionPair,
@@ -41,8 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPACITY = 2
 EXIT_CHECK = 3
-
-_CONTRAST_CSV_HEADER = "X,k,shift_rational_nondiag,shift_algebraic_nondiag"
 
 
 class _UsageError(Exception):
@@ -150,14 +151,15 @@ def _json_field(value) -> str:
 def _json_records(records: Iterable[dict]) -> Iterator[str]:
     """`json.dumps(records, indent=2) + "\n"`, byte for byte, for flat records.
 
-    This is the fixed schema of `witness` and `lemma-check` output: a list of
-    dicts with string keys, whose values are ints, bools, strings, or lists
-    of ints and bools.  Strings go through the escaper `json.dumps` uses.
-    The indenting encoder behind `json.dumps(indent=2)` is pure Python and
-    was the slowest step of writing a large witness list, so this writer
-    stands in for it and must stay byte-equal to it.  It yields the text one
-    record at a time, so the records may come from a generator and neither
-    they nor the text are ever held whole.
+    This is the fixed schema of every flat JSON list the CLI writes (count,
+    contrast, witness and lemma-check): a list of dicts with string keys,
+    whose values are ints, bools, strings, or lists of ints and bools.
+    Strings go through the escaper `json.dumps` uses.  The indenting encoder
+    behind `json.dumps(indent=2)` is pure Python and was the slowest step of
+    writing a large witness list, so this writer stands in for it and must
+    stay byte-equal to it.  It yields the text one record at a time, so the
+    records may come from a generator and neither they nor the text are ever
+    held whole.
     """
     opening = "[\n"
     for record in records:
@@ -169,30 +171,26 @@ def _json_records(records: Iterable[dict]) -> Iterator[str]:
     yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
-def _csv_text(header: str, rows: Sequence[Sequence], trailer: Sequence[str] = ()) -> str:
+def _emit_rows(args, rows: Sequence[dict], trailer: Sequence[str] = ()) -> None:
+    """Write flat rows in `args.format` to `args.out`.
+
+    CSV takes its header from the first row's keys and ends with the trailer
+    lines; JSON is the list of rows, through `_json_records`.
+    """
+    if args.format == "json":
+        _emit(_json_records(rows), args.out)
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header.split(","))
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    for line in trailer:
-        text += line + "\n"
-    return text
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
+    _emit([buf.getvalue()] + [line + "\n" for line in trailer], args.out)
 
 
 def _cmd_count(args) -> int:
     shift = parse_shift(args.shift)
-    report = count_mean_value(
-        args.k,
-        args.X,
-        shift,
-        memory_budget_mb=args.memory_budget_mb,
-    )
-    if args.format == "json":
-        _emit([json.dumps([report.to_json_dict()], indent=2) + "\n"], args.out)
-    else:
-        _emit([_csv_text(COUNT_CSV_HEADER, [report.csv_fields()])], args.out)
+    report = count_mean_value(args.k, args.X, shift, memory_budget_mb=args.memory_budget_mb)
+    _emit_rows(args, [report.to_json_dict()])
     return EXIT_OK
 
 
@@ -205,13 +203,12 @@ def _cmd_scan(args) -> int:
         count_mean_value(args.k, X, shift, memory_budget_mb=args.memory_budget_mb)
         for X in xs
     ]
+    rows = [r.to_json_dict() for r in reports]
     fit = fit_growth_exponent(reports)
     ref = reference_exponent(args.k, shift)
-    alpha_text = "zero-count" if fit.zero_count else f"{fit.alpha:.6f}"
-    ref_text = "none" if ref is None else str(ref)
     if args.format == "json":
         payload = {
-            "rows": [r.to_json_dict() for r in reports],
+            "rows": rows,
             "fit": {
                 "alpha": fit.alpha,
                 "zero_count": fit.zero_count,
@@ -219,15 +216,10 @@ def _cmd_scan(args) -> int:
             },
         }
         _emit([json.dumps(payload, indent=2) + "\n"], args.out)
-    else:
-        trailer = [
-            f"# fitted_alpha={alpha_text}",
-            f"# reference_exponent={ref_text}",
-        ]
-        _emit(
-            [_csv_text(COUNT_CSV_HEADER, [r.csv_fields() for r in reports], trailer)],
-            args.out,
-        )
+        return EXIT_OK
+    alpha_text = "zero-count" if fit.zero_count else f"{fit.alpha:.6f}"
+    ref_text = "none" if ref is None else str(ref)
+    _emit_rows(args, rows, [f"# fitted_alpha={alpha_text}", f"# reference_exponent={ref_text}"])
     return EXIT_OK
 
 
@@ -276,41 +268,32 @@ def _cmd_lemma_check(args) -> int:
         try:
             report = verify_witness(pair, m, x_cap)
         except (NotASolutionError, PreconditionViolationError) as exc:
+            error = str(exc)
+            results.append(pair.to_json_dict() | {"error": error})
+        else:
+            error = None if report.all_ok else "identity check failed"
+            results.append(report.to_json_dict())
+        if error is not None:
             failures += 1
-            print(
-                f"witness x={list(pair.x)} y={list(pair.y)}: {exc}",
-                file=sys.stderr,
-            )
-            results.append(pair.to_json_dict() | {"error": str(exc)})
-            continue
-        if not report.all_ok:
-            failures += 1
-            print(
-                f"witness x={list(pair.x)} y={list(pair.y)}: identity check failed",
-                file=sys.stderr,
-            )
-        results.append(report.to_json_dict())
+            print(f"witness x={list(pair.x)} y={list(pair.y)}: {error}", file=sys.stderr)
     _emit(_json_records(results), args.out)
     return EXIT_CHECK if failures else EXIT_OK
 
 
 def _cmd_contrast(args) -> int:
     xs = _parse_x_list(args.X_list)
-    shifts = (parse_shift(args.rational_shift), parse_shift(args.algebraic_shift))
-    rows = [
-        [X, args.k]
-        + [
-            count_mean_value(args.k, X, s, memory_budget_mb=args.memory_budget_mb).nondiagonal
-            for s in shifts
-        ]
-        for X in xs
-    ]
-    if args.format == "json":
-        keys = _CONTRAST_CSV_HEADER.split(",")
-        payload = [dict(zip(keys, row)) for row in rows]
-        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
-    else:
-        _emit([_csv_text(_CONTRAST_CSV_HEADER, rows)], args.out)
+    shifts = {
+        "shift_rational_nondiag": parse_shift(args.rational_shift),
+        "shift_algebraic_nondiag": parse_shift(args.algebraic_shift),
+    }
+    budget = args.memory_budget_mb
+    rows = []
+    for X in xs:
+        row = {"X": X, "k": args.k}
+        for key, s in shifts.items():
+            row[key] = count_mean_value(args.k, X, s, memory_budget_mb=budget).nondiagonal
+        rows.append(row)
+    _emit_rows(args, rows)
     return EXIT_OK
 
 

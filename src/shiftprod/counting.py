@@ -112,6 +112,7 @@ _LOW_BITS = (1 << 20) - 1
 _INT64_LIMIT = 1 << 63
 _WORD_MODULUS = 1 << 64
 
+# The CSV header of count and scan: the keys of CountReport.to_json_dict
 COUNT_CSV_HEADER = "k,X,shift,M,T,nondiag,distinct_nu,elapsed_ms"
 
 
@@ -140,10 +141,9 @@ class _PolyKeyer:
     E_j = p^j * q^(k-j) and the key is prod(q*x_i + p), its canonical form.
     """
 
-    __slots__ = ("k", "rows_weight", "scale", "bounds", "strides", "dims", "fits_int64")
+    __slots__ = ("rows_weight", "scale", "bounds", "strides", "dims", "fits_int64")
 
     def __init__(self, k: int, X: int, rows: Sequence[Sequence[Coeff]], dims: int):
-        self.k = k
         self.dims = dims
         scale = lcm(*(f.denominator for row in rows for f in row))
         srows = [tuple(int(f * scale) for f in row) for row in rows]
@@ -280,8 +280,13 @@ def _dict_table(keyer, k: int, X: int):
     return len(table), sum(table.values()), squares, lambda key: get(key, 0)
 
 
-def _dict_colliding_keys(keyer, k: int, X: int) -> frozenset:
-    """The keys of the canonical products of two or more multisets."""
+def _dict_groups(keyer, k: int, X: int) -> list[list[tuple]]:
+    """The multisets of every key that two or more multisets share, a list per key.
+
+    Two passes: the first counts the multisets of every key and keeps the
+    colliding keys (there are few), the second collects their multisets as
+    sorted tuples.
+    """
     counts: dict = {}
     get = counts.get
 
@@ -292,16 +297,8 @@ def _dict_colliding_keys(keyer, k: int, X: int) -> frozenset:
             counts[key] = get(key, 0) + 1
 
     _walk(keyer, X, k - 1, count)
-    return frozenset(key for key, n in counts.items() if n >= 2)
-
-
-def _dict_groups(keyer, k: int, X: int) -> list[list[tuple]]:
-    """The multisets of every key that two or more multisets share, a list per key.
-
-    Two passes: the first finds the colliding keys (there are few), the
-    second collects their multisets as sorted tuples.
-    """
-    wanted = _dict_colliding_keys(keyer, k, X)
+    wanted = frozenset(key for key, n in counts.items() if n >= 2)
+    del counts, get  # the second pass needs only the colliding keys
     if not wanted:
         return []
     out: dict = {}
@@ -738,9 +735,6 @@ class CountReport:
     @property
     def elapsed_ms(self) -> int:
         return round(self.elapsed * 1000)
-
-    def csv_fields(self) -> list[str]:
-        return [str(v) for v in self.to_json_dict().values()]
 
     def to_json_dict(self) -> dict:
         return {

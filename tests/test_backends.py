@@ -272,6 +272,22 @@ def test_array_table_lookups(array_runs):
             assert table.ordered_count(shifted_product((10**10, 10**10), HALF)) == 0
 
 
+@pytest.mark.parametrize(
+    "nu",
+    [shifted_product((1, 10**6), HALF), shifted_product((1, 1, 4), TRANS)],
+    ids=["rational-beyond-the-box", "transcendental-k3"],
+)
+def test_product_the_keyer_cannot_encode_counts_zero(array_runs, nu):
+    # prod(2x + 1) over (1, 10**6) is far beyond the bound of an X = 5 table,
+    # and (1, 1, 4) has one coordinate too many for k = 2, though its first
+    # two (sigma_1, sigma_2) = (6, 9) are those of (3, 3)
+    assert build_product_table(2, 5, nu.shift).ordered_count(nu) == 0
+    assert array_runs == []
+    array_runs.force()
+    assert build_product_table(2, 5, nu.shift).ordered_count(nu) == 0
+    assert array_runs == [(2, 5)]
+
+
 def look_up(k, X, shift):
     """Build a table and look one product up, which indexes a wide table."""
     return build_product_table(k, X, shift).ordered_count(shifted_product((1,) * k, shift))

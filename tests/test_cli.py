@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour: formats, round trips, exit codes."""
 
+import dataclasses
+import io
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -200,9 +203,35 @@ class TestWitnessAndLemmaCheck:
         assert (code, err) == (0, "")
         assert out == SHARED_VALUE_REPORT
 
+    @pytest.mark.parametrize("source", [(), ("--in", "-")], ids=["no-in", "in-dash"])
+    def test_reads_stdin(self, capsys, monkeypatch, source):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('[{"x": [1, 1, 7], "y": [1, 2, 4]}]'))
+        cmd = ("lemma-check", "--shift", "rational:1/2", *source)
+        assert run(capsys, *cmd) == (0, SHARED_VALUE_REPORT, "")
+
+    def test_failed_identity_exits_3_and_still_reports(self, capsys, monkeypatch, tmp_path):
+        def first_identity_fails(pair, m, X):
+            report = verify_witness(pair, m, X)
+            return dataclasses.replace(report, lemma_ok=(False,) + report.lemma_ok[1:])
+
+        monkeypatch.setattr("shiftprod.cli.verify_witness", first_identity_fails)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([{"x": [1, 7], "y": [2, 4]}, {"x": [1, 4], "y": [2, 6]}]))
+        code, out, err = run(capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path))
+        assert code == 3
+        assert err == (
+            "witness x=[1, 7] y=[2, 4]: identity check failed\n"
+            "witness x=[1, 4] y=[2, 6]: 2t - 1 does not divide -3t - 8 (remainder -19/2)\n"
+        )
+        expected = [
+            json.loads(SHARED_VALUE_REPORT)[0] | {"lemma_ok": [False, True]},
+            {"x": [1, 4], "y": [2, 6], "error": "2t - 1 does not divide -3t - 8 (remainder -19/2)"},
+        ]
+        assert out == json.dumps(expected, indent=2) + "\n"
+
 
 class TestJsonRecords:
-    """The witness and lemma-check writer is byte-equal to json.dumps(indent=2)."""
+    """The writer of every flat JSON list is byte-equal to json.dumps(indent=2)."""
 
     TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "日本", "\u2028", "😀", "a\"b\\c\nd"]
     scalars = st.one_of(
@@ -450,6 +479,20 @@ class TestErrors:
             code, out, err = run(capsys, *args)
             assert (code, out) == (1, ""), args
             assert err.startswith("error:") and "Traceback" not in err, args
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ('{"x": [1, 7], "y": [2, 4]}', "witness input must be a JSON array of {x, y} objects"),
+            ('[{"x": [1, 7]}]', "bad witness entry {'x': [1, 7]}: 'y'"),
+        ],
+        ids=["object", "no-y"],
+    )
+    def test_malformed_witness_input(self, capsys, tmp_path, text, err):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        cmd = ("lemma-check", "--shift", "rational:1/2", "--in", str(path))
+        assert run(capsys, *cmd) == (1, "", f"error: {err}\n")
 
     def test_reducible_minpoly_rejected(self, capsys):
         code, _, err = run(
