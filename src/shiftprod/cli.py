@@ -18,6 +18,7 @@ diagonal input where a witness was required).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -262,21 +263,31 @@ def _cmd_lemma_check(args) -> int:
     x_cap = args.X
     if x_cap is None:
         x_cap = max((v for p in pairs for v in p.x + p.y), default=1)
-    results = []
-    failures = 0
+    # verify_witness raises ValueError on a cancelled pair with an entry above
+    # the cap; that pair is found before the first record, so none is written
     for pair in pairs:
-        try:
-            report = verify_witness(pair, m, x_cap)
-        except (NotASolutionError, PreconditionViolationError) as exc:
-            error = str(exc)
-            results.append(pair.to_json_dict() | {"error": error})
-        else:
-            error = None if report.all_ok else "identity check failed"
-            results.append(report.to_json_dict())
-        if error is not None:
-            failures += 1
-            print(f"witness x={list(pair.x)} y={list(pair.y)}: {error}", file=sys.stderr)
-    _emit(_json_records(results), args.out)
+        if max(pair.x + pair.y, default=0) > x_cap:
+            with contextlib.suppress(NotASolutionError, PreconditionViolationError):
+                verify_witness(pair, m, x_cap)
+    failures = 0
+
+    def records() -> Iterator[dict]:
+        nonlocal failures
+        for pair in pairs:
+            try:
+                report = verify_witness(pair, m, x_cap)
+            except (NotASolutionError, PreconditionViolationError) as exc:
+                error = str(exc)
+                record = pair.to_json_dict() | {"error": error}
+            else:
+                error = None if report.all_ok else "identity check failed"
+                record = report.to_json_dict()
+            if error is not None:
+                failures += 1
+                print(f"witness x={list(pair.x)} y={list(pair.y)}: {error}", file=sys.stderr)
+            yield record
+
+    _emit(_json_records(records()), args.out)
     return EXIT_CHECK if failures else EXIT_OK
 
 

@@ -39,13 +39,15 @@ share are the tied words: the witness search drops the sorted words and
 enumerates the cell again to pick out the rows of those words, a chunk at a
 time, unless there are none.  When keys do not fit, equal products still
 give equal words, so a word of one row is exact; the rows of a tied word
-are re-keyed exactly from their multisets and split by key.  Those groups
-are what the witness search returns, and the table of such a cell is read
-off them too: every row is one product but for the groups.  Its lookup
-enumerates the cell once more on its first call, to index the sorted words
-by row.  Every other cell takes the dict backend: one dict update per
-multiset in arbitrary-precision integers.  It is the reference the tests
-compare the array backend against.
+are re-keyed exactly from their multisets and split by key.  The witness
+search pairs up the members of those groups, one pair at a time as its
+caller reads them, and the table of such a cell is read off them too: every
+row is one product but for the groups.  Its lookup enumerates the cell once
+more on its first call, to index the sorted words by row.  Every other cell
+takes the dict backend: one dict update per multiset in arbitrary-precision
+integers.  It is the reference the tests compare the array backend against.
+The memory budget is checked before each large allocation: the table, the
+colliding multisets' tuples and the lookup index.
 
 Both backends enumerate with one walker, `_walk`, which visits every
 non-decreasing prefix of a given length once with the keys K_i of its
@@ -88,22 +90,26 @@ _ARRAY_MIN_MULTISETS = 1 << 20
 # (below), tables peaked at 9.7 B per multiset at k=3, X=400 (1.5% repeat a
 # value), 10.6 at k=4, X=120 (9.5%), 13.1 at k=5, X=50 (33%), 19.2 at k=6,
 # X=30 (63%) and 18.3 at k=6, X=40 (53%); beyond int64 at 10.4 at k=4, X=100
-# and 13.8 at k=6, X=25.  The witnesses peaked lower.  The fixed part covers
-# numpy's own import, 6.6 MiB, and the chunk temporaries.  On top comes the
-# table of the X(X+1)/2 pairs of [1, X], whose enumeration is the whole peak
-# at k=2: 36.2 B per pair at k=2, X=1500.  The dict backend measured 66.5 B
-# per table entry the same way; its guard keeps 96 B.  A wide table's lookup
-# index, 16 B per multiset, is built only on a lookup and not guarded.
+# and 13.8 at k=6, X=25.  The fixed part covers numpy's own import, 6.6 MiB,
+# and the chunk temporaries.  On top comes the table of the X(X+1)/2 pairs of
+# [1, X], whose enumeration is the whole peak at k=2: 36.2 B per pair at k=2,
+# X=1500.  The dict backend measured 66.5 B per table entry the same way; its
+# guard keeps 96 B.
 _ARRAY_FIXED_BYTES = 10 << 20
 _ARRAY_BYTES_PER_MULTISET = 11
 _ARRAY_BYTES_PER_REPEAT = 16
 _ARRAY_BYTES_PER_PAIR = 40
-# Peak bytes per witness pair of find_nondiagonal_witnesses, by tracemalloc for
-# rational:1/2: 299 at k=2, X=1500, 170 at k=3, 156 at k=4 and 185 at k=6,
-# and 250 on the dict backend at k=2, X=600.  It holds every colliding
-# multiset as a tuple and every pair as a SolutionPair; at k=2 a multiset is
-# in the fewest pairs.
-_BYTES_PER_WITNESS_PAIR = 340
+# The witness search then holds every colliding multiset (one whose product
+# another multiset shares) as a tuple in its group, with its place in the
+# sorted heads.  Past the pair table, its peak per colliding multiset on
+# rational:1/2 was 167 B at k=3, X=100, 179 at k=4, X=40 and 214 at k=6, X=16
+# on the dict backend, and 176 at k=3, X=120, 185 at k=3, X=200, 150 at k=2,
+# X=1000 and 194 at k=6, X=16 on the array backend.  Its pairs are yielded
+# one at a time and never held together, so they are not counted.
+_BYTES_PER_COLLIDING_MULTISET = 240
+# A wide table's lookup index holds the sorted words and the row of each,
+# built on the first lookup: 16.1-17.7 B per multiset past the pair table.
+_INDEX_BYTES_PER_MULTISET = 18
 # Values per chunk of the passes over a cell's sorted words and of the tie
 # search's pick of rows, so that their temporaries stay near 1 MiB
 _CHUNK = 1 << 16
@@ -117,7 +123,7 @@ COUNT_CSV_HEADER = "k,X,shift,M,T,nondiag,distinct_nu,elapsed_ms"
 
 
 class CapacityError(RuntimeError):
-    """The frequency table or witness pairs for (k, X) would exceed the memory budget."""
+    """A cell's table, colliding multisets or lookup index would exceed the memory budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +286,12 @@ def _dict_table(keyer, k: int, X: int):
     return len(table), sum(table.values()), squares, lambda key: get(key, 0)
 
 
-def _dict_groups(keyer, k: int, X: int) -> list[list[tuple]]:
+def _dict_groups(keyer, k: int, X: int, memory_budget_mb: int) -> list[list[tuple]]:
     """The multisets of every key that two or more multisets share, a list per key.
 
     Two passes: the first counts the multisets of every key and keeps the
     colliding keys (there are few), the second collects their multisets as
-    sorted tuples.
+    sorted tuples, once the budget has room for them.
     """
     counts: dict = {}
     get = counts.get
@@ -298,6 +304,7 @@ def _dict_groups(keyer, k: int, X: int) -> list[list[tuple]]:
 
     _walk(keyer, X, k - 1, count)
     wanted = frozenset(key for key, n in counts.items() if n >= 2)
+    _check_colliding(k, X, sum(counts[key] for key in wanted), memory_budget_mb)
     del counts, get  # the second pass needs only the colliding keys
     if not wanted:
         return []
@@ -462,7 +469,9 @@ def _orderings(kfact: int, multiset: tuple) -> int:
     return kfact // prod(factorial(n) for n in Counter(multiset).values())
 
 
-def _shared_products(np, keyer, k: int, X: int, bitmap) -> list[list[tuple]]:
+def _shared_products(
+    np, keyer, k: int, X: int, bitmap, memory_budget_mb: int
+) -> list[list[tuple]]:
     """The multisets of every product that two or more rows share, a list per product.
 
     `bitmap` marks the low 20 bits of the words that two or more rows share
@@ -470,7 +479,8 @@ def _shared_products(np, keyer, k: int, X: int, bitmap) -> list[list[tuple]]:
     there is nothing to find.  Otherwise a second enumeration of the cell
     picks, chunk by chunk, the rows whose low bits the bitmap marks: the
     rows of tied words and few others.  Grouping the picked rows by word and
-    dropping the lone ones leaves exactly the rows of tied words.  When the
+    dropping the lone ones leaves exactly the rows of tied words, and only
+    their multisets are built as tuples, once the budget has room.  When the
     words are the keys each tied word is one product; otherwise its
     multisets are re-keyed exactly, grouped by key and the lone ones dropped.
     """
@@ -486,10 +496,13 @@ def _shared_products(np, keyer, k: int, X: int, bitmap) -> list[list[tuple]]:
     del words
     order = np.argsort(picked, kind="stable")
     rows = rows[order]
-    bounds = _run_starts(np, picked[order]).tolist() + [len(rows)]
+    lengths = np.diff(_run_starts(np, picked[order]), append=len(rows))
     del picked, order
+    rows = rows[np.repeat(lengths > 1, lengths)]  # the rows of tied words
+    _check_colliding(k, X, len(rows), memory_budget_mb, _pair_table_bytes(X))
     multisets = members(rows)
-    runs = [multisets[i:j] for i, j in zip(bounds[:-1], bounds[1:]) if j - i > 1]
+    bounds = np.cumsum(lengths[lengths > 1]).tolist()
+    runs = [multisets[i:j] for i, j in zip([0] + bounds, bounds)]
     if keyer.fits_int64:
         return runs
     by_key: dict = {}
@@ -508,18 +521,23 @@ def _wide_index(np, keyer, k: int, X: int):
     return words, rows, members
 
 
-def _wide_lookup(np, keyer, k: int, X: int) -> Callable[[int], int]:
+def _wide_lookup(np, keyer, k: int, X: int, memory_budget_mb: int) -> Callable[[int], int]:
     """A lookup of W by key for keys beyond int64, indexed on its first call.
 
     The first call enumerates the cell again and sorts its words with their
-    rows; every call then finds its key's word by bisection and re-keys that
-    word's multisets.  A table nobody looks up never builds the index.
+    rows, once the budget has room for them; every call then finds its key's
+    word by bisection and re-keys that word's multisets.  A table nobody
+    looks up never builds the index.
     """
     kfact = factorial(k)
     index: list = []
 
     def lookup(key: int) -> int:
         if not index:
+            _check_budget(
+                _pair_table_bytes(X) + comb(X + k - 1, k) * _INDEX_BYTES_PER_MULTISET,
+                memory_budget_mb, f"k={k}, X={X} needs a lookup index",
+            )
             index.append(_wide_index(np, keyer, k, X))
         words, rows, members = index[0]
         word = _word(key)
@@ -529,7 +547,7 @@ def _wide_lookup(np, keyer, k: int, X: int) -> Callable[[int], int]:
     return lookup
 
 
-def _array_table(np, keyer, k: int, X: int):
+def _array_table(np, keyer, k: int, X: int, memory_budget_mb: int):
     """Distinct products, sum W, sum W^2 and a lookup, from one in-place sort of the words.
 
     A row weighs k! unless its multiset repeats a value, a share of about
@@ -560,12 +578,12 @@ def _array_table(np, keyer, k: int, X: int):
         del short, short_weights
         bitmap = _tie_bitmap(np, words)
         del words
-        groups = _shared_products(np, keyer, k, X, bitmap)
+        groups = _shared_products(np, keyer, k, X, bitmap, memory_budget_mb)
         for group in groups:
             ws = [_orderings(kfact, multiset) for multiset in group]
             squares += sum(ws) ** 2 - sum(w * w for w in ws)
         distinct = n - sum(len(group) - 1 for group in groups)
-        return distinct, total, squares, _wide_lookup(np, keyer, k, X)
+        return distinct, total, squares, _wide_lookup(np, keyer, k, X, memory_budget_mb)
     short_words = words[short]
     del short
     shortfall = kfact - short_weights  # in the weights' small dtype
@@ -597,10 +615,10 @@ def _array_table(np, keyer, k: int, X: int):
     return distinct, total, mean_value, lookup
 
 
-def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
+def _array_groups(np, keyer, k: int, X: int, memory_budget_mb: int) -> list[list[tuple]]:
     """The multisets of every key that two or more multisets share, a list per key."""
     bitmap = _tie_bitmap(np, _enumerate_rows(np, keyer, k, X)[0])
-    return _shared_products(np, keyer, k, X, bitmap)
+    return _shared_products(np, keyer, k, X, bitmap, memory_budget_mb)
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +626,18 @@ def _array_groups(np, keyer, k: int, X: int) -> list[list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
+def _pair_table_bytes(X: int) -> int:
+    """What every array-backend pass holds: numpy, its chunk temporaries, the pair table."""
+    return _ARRAY_FIXED_BYTES + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
+
+
 def _array_bytes(k: int, X: int) -> int:
     """The array backend's peak memory on a cell, by the measured figures above."""
     multisets = comb(X + k - 1, k)
     return (
-        _ARRAY_FIXED_BYTES
+        _pair_table_bytes(X)
         + multisets * _ARRAY_BYTES_PER_MULTISET
         + (multisets - comb(X, k)) * _ARRAY_BYTES_PER_REPEAT
-        + comb(X + 1, 2) * _ARRAY_BYTES_PER_PAIR
     )
 
 
@@ -625,6 +647,16 @@ def _check_budget(needed: int, memory_budget_mb: int, what: str) -> None:
         raise CapacityError(
             f"{what} (~{needed >> 20} MiB), over the {memory_budget_mb} MiB budget"
         )
+
+
+def _check_colliding(
+    k: int, X: int, multisets: int, memory_budget_mb: int, held: int = 0
+) -> None:
+    """Raise CapacityError if `held` bytes and these colliding multisets exceed the budget."""
+    _check_budget(
+        held + multisets * _BYTES_PER_COLLIDING_MULTISET, memory_budget_mb,
+        f"k={k}, X={X} has {multisets} colliding multisets",
+    )
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -696,7 +728,10 @@ def build_product_table(
 ) -> ProductTable:
     """Enumerate all multisets once and build the ordered-multiplicity table."""
     keyer, np = _settle(k, X, shift, memory_budget_mb)
-    sums = _dict_table(keyer, k, X) if np is None else _array_table(np, keyer, k, X)
+    if np is None:
+        sums = _dict_table(keyer, k, X)
+    else:
+        sums = _array_table(np, keyer, k, X, memory_budget_mb)
     table = ProductTable(k, X, shift, keyer, *sums)
     if table.total_ordered_tuples() != X**k:
         raise RuntimeError(
@@ -898,35 +933,38 @@ def find_nondiagonal_witnesses(
     *,
     limit: Optional[int] = None,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
-) -> list[SolutionPair]:
-    """Deduplicated non-diagonal witness pairs, sorted lexicographically.
+) -> Iterator[SolutionPair]:
+    """Deduplicated non-diagonal witness pairs, yielded in lexicographic order.
 
     Both backends make two passes over the multiset space: the first finds
     the products that two or more multisets share (there are few), the
     second collects their multisets.  The array backend finds them by
     sorting its words in place and skips the second pass when there are
     none.  Each colliding group of r multisets yields C(r, 2) unordered
-    pairs, and CapacityError is raised if they would not fit the memory
-    budget.  Transcendental shifts are legal and return an empty list.
-    `limit`, if given, keeps the first `limit` pairs and must not be
-    negative.
+    pairs.  The call validates its arguments, settles the cell and builds
+    the colliding groups before it returns, so ValueError and CapacityError
+    are raised by the call itself; the pairs are then built one at a time as
+    the iterator is consumed, and never held together.  Transcendental
+    shifts are legal and yield nothing.  `limit`, if given, keeps the first
+    `limit` pairs and must not be negative.
+
+    A caller that keeps every pair, as in `list(...)`, should pause the
+    cyclic collector around it (`gc.disable()`): millions of kept pairs,
+    none in a reference cycle, would otherwise be rescanned again and again.
     """
     if limit is not None:
         _require_int("limit", limit, 0)
     keyer, np = _settle(k, X, shift, memory_budget_mb)
-    # The colliding multisets and their pairs are new objects, millions on a
-    # rational cell, and none is in a reference cycle, so the cyclic
-    # collector would only rescan them again and again: it pauses until they
-    # are built, which nearly halves the time of such a cell.
+    # The colliding multisets are new objects, millions on a rational cell,
+    # and none is in a reference cycle, so the cyclic collector would only
+    # rescan them again and again: it pauses until they are grouped.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        groups = _dict_groups(keyer, k, X) if np is None else _array_groups(np, keyer, k, X)
-        npairs = sum(comb(len(members), 2) for members in groups)
-        _check_budget(
-            npairs * _BYTES_PER_WITNESS_PAIR, memory_budget_mb,
-            f"k={k}, X={X} has {npairs} witness pairs",
-        )
+        if np is None:
+            groups = _dict_groups(keyer, k, X, memory_budget_mb)
+        else:
+            groups = _array_groups(np, keyer, k, X, memory_budget_mb)
         # Each multiset lies in one group, so pairing the colliding multisets,
         # taken in sorted order, with the later members of their sorted group
         # yields the pairs in lexicographic order without sorting them.
@@ -936,10 +974,8 @@ def find_nondiagonal_witnesses(
             members.sort()
             heads += zip(members, range(len(members) - 1), repeat(members))
         heads.sort(key=itemgetter(0))
-        pairs = (
-            SolutionPair._canonical(x, y) for x, i, members in heads for y in members[i + 1:]
-        )
-        return list(islice(pairs, limit))
     finally:
         if enabled:
             gc.enable()
+    pairs = (SolutionPair._canonical(x, y) for x, i, members in heads for y in members[i + 1:])
+    return islice(pairs, limit)

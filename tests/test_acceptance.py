@@ -48,7 +48,7 @@ def report_for(k, X, shift):
 def witnesses_for(k, X, shift):
     key = ("witness", k, X, shift)
     if key not in _CACHE:
-        _CACHE[key] = find_nondiagonal_witnesses(k, X, shift)
+        _CACHE[key] = list(find_nondiagonal_witnesses(k, X, shift))
     return _CACHE[key]
 
 

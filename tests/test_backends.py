@@ -50,7 +50,7 @@ WIDE_CELLS = [(4, 45, TRANS), (5, 12, TRANS), (4, 30, CUBE_ROOT2), (2, 8, TINY)]
 def settle(k, X, shift):
     """The cell's report without its timing, and its witnesses."""
     report = count_mean_value(k, X, shift)
-    witnesses = find_nondiagonal_witnesses(k, X, shift)
+    witnesses = list(find_nondiagonal_witnesses(k, X, shift))
     return dataclasses.replace(report, elapsed=0.0), witnesses
 
 
@@ -449,6 +449,65 @@ def test_wide_table_peak_within_guard():
     # keys beyond int64 share the int64 path's guard; k=6 repeats the most values
     assert not counting._keyer_for(6, 25, TRANS).fits_int64
     assert_table_peak_within_guard(6, 25, TRANS)
+
+
+def guarded_peak(call, force):
+    """The tracemalloc peak of one line of code and the byte figures the guard checked.
+
+    Runs in a fresh process, traced from before numpy's import; `force` sends
+    every cell with k >= 2 to the array backend.
+    """
+    code = f"""
+        import collections, tracemalloc
+        tracemalloc.start()
+        from shiftprod import counting, parse_shift, shifted_product
+        needed = []
+        check_budget = counting._check_budget
+        counting._check_budget = lambda n, *rest: needed.append(n) or check_budget(n, *rest)
+        counting._ARRAY_MIN_MULTISETS = {0 if force else counting._ARRAY_MIN_MULTISETS}
+        {call}
+        print(tracemalloc.get_traced_memory()[1], *needed)
+    """
+    peak, *needed = map(int, run_fresh(code).split())
+    return peak, needed
+
+
+@pytest.mark.parametrize(
+    "k, X, force", [(6, 16, False), (6, 16, True), (3, 120, True), (2, 700, True)]
+)
+def test_witness_search_peak_within_guard(k, X, force):
+    # rational:1/2 ties most rows.  The pairs are consumed one at a time, as
+    # the witness command does, so the peak is the search's colliding groups.
+    search = f'counting.find_nondiagonal_witnesses({k}, {X}, parse_shift("rational:1/2"))'
+    peak, needed = guarded_peak(f"collections.deque({search}, 0)", force)
+    assert len(needed) == 2  # the table, then the colliding multisets
+    assert needed[0] < peak <= needed[1], (peak, needed)
+
+
+def test_wide_lookup_index_peak_within_guard():
+    # 4.4M multisets beyond int64: the index outgrows the table's own guard
+    nu = f'shifted_product((1, 1, 1, 1), parse_shift("{format_shift(TRANS)}"))'
+    lookup = f'counting.build_product_table(4, 100, {nu}.shift).ordered_count({nu})'
+    peak, needed = guarded_peak(lookup, force=False)
+    assert len(needed) == 2  # the table, then its lookup index
+    assert needed[0] < peak <= needed[1], (peak, needed)
+
+
+def test_wide_lookup_index_over_the_budget(array_runs):
+    # 292,825 multisets beyond int64: the table fits 15 MiB and counts there,
+    # but a lookup's index does not fit, and the refused lookup enumerates
+    # nothing
+    cell = (4, 50, TRANS)
+    nu = shifted_product((1, 2, 3, 4), TRANS)
+    expected = build_product_table(*cell).ordered_count(nu)
+    array_runs.force()
+    count_mean_value(*cell, memory_budget_mb=15)
+    table = build_product_table(*cell, memory_budget_mb=15)
+    assert array_runs == [cell[:2]] * 2
+    with pytest.raises(CapacityError, match="k=4, X=50 needs a lookup index"):
+        table.ordered_count(nu)
+    assert array_runs == [cell[:2]] * 2
+    assert build_product_table(*cell, memory_budget_mb=16).ordered_count(nu) == expected == 24
 
 
 @pytest.mark.parametrize("settle_cell", [count_mean_value, find_nondiagonal_witnesses])

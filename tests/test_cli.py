@@ -1,17 +1,25 @@
 """End-to-end CLI behaviour: formats, round trips, exit codes."""
 
+import collections
 import dataclasses
 import io
 import json
+import os
 import sys
+import tempfile
 import tracemalloc
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shiftprod import (
+    Algebraic,
+    MinimalPolynomial,
+    Rational,
     find_nondiagonal_witnesses,
+    format_shift,
     minimal_polynomial_for,
     parse_shift,
     verify_witness,
@@ -177,6 +185,21 @@ class TestWitnessAndLemmaCheck:
         assert without_x[0] == 3
         assert without_x[2] == "witness x=[] y=[]: diagonal after cancellation\n"
 
+    def test_x_below_a_cancelled_entry_writes_no_record(self, capsys, tmp_path):
+        # (x + 1) products: 2 * 6 = 3 * 4 and 2 * 8 = 4 * 4.  The second pair's
+        # 7 is above --X 6, so the first pair's record, which passes, is not
+        # written either.
+        path, out_path = tmp_path / "w.json", tmp_path / "r.json"
+        path.write_text(json.dumps([{"x": [1, 5], "y": [2, 3]}, {"x": [1, 7], "y": [3, 3]}]))
+        cmd = ("lemma-check", "--shift", "rational:1", "--in", str(path), "--X")
+        assert run(capsys, *cmd, "6") == (1, "", "error: X=6 is below the largest witness entry\n")
+        assert run(capsys, *cmd, "6", "--out", str(out_path))[0] == 1
+        assert not out_path.exists()
+        # a value above the cap that cancels away is no error
+        path.write_text(json.dumps([{"x": [1, 5, 9], "y": [2, 3, 9]}]))
+        code, out, err = run(capsys, *cmd, "5")
+        assert (code, err) == (0, "") and len(json.loads(out)) == 1
+
     def test_transcendental_rejected(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text("[]")
@@ -271,7 +294,7 @@ def test_written_files_equal_json_dumps_of_engine_dicts(tmp_path, k, X, text):
     # a change to the writer must fail here before it changes a benchmark digest
     shift = parse_shift(text)
     m = minimal_polynomial_for(shift)
-    pairs = find_nondiagonal_witnesses(k, X, shift)
+    pairs = list(find_nondiagonal_witnesses(k, X, shift))
     assert pairs
     witnesses, reports = tmp_path / "w.json", tmp_path / "r.json"
     code = main(
@@ -290,8 +313,8 @@ def test_written_files_equal_json_dumps_of_engine_dicts(tmp_path, k, X, text):
 
 
 def test_witness_command_peaks_near_the_engine(tmp_path):
-    # the writer streams one record at a time, so the command holds little
-    # beyond the engine's own pair list, which the memory budget is sized for
+    # the engine yields its pairs and the writer streams one record at a
+    # time, so the command holds little beyond the search's colliding groups
     k, X, text = 3, 60, "rational:1/2"
     argv = ["witness", "--k", str(k), "--X", str(X), "--shift", text, "--out", str(tmp_path / "w")]
 
@@ -304,9 +327,47 @@ def test_witness_command_peaks_near_the_engine(tmp_path):
             tracemalloc.stop()
 
     main(argv)  # first-use caches, outside the measurement
-    engine = peak(lambda: find_nondiagonal_witnesses(k, X, parse_shift(text)))
+    shift = parse_shift(text)
+    engine = peak(lambda: collections.deque(find_nondiagonal_witnesses(k, X, shift), 0))
     command = peak(lambda: main(argv))
     assert command <= 1.2 * engine, (command, engine)
+
+
+def _algebraic_or_none(coeffs):
+    try:
+        return Algebraic(MinimalPolynomial(coeffs))
+    except ValueError:  # a rational root or a zero leading coefficient
+        return None
+
+
+RATIONAL_SHIFTS = st.tuples(st.integers(-12, 12), st.integers(1, 4)).filter(
+    lambda pq: gcd(*pq) == 1
+).map(lambda pq: Rational(*pq))
+ALGEBRAIC_SHIFTS = st.lists(st.integers(-4, 4), min_size=3, max_size=4).map(
+    _algebraic_or_none
+).filter(lambda shift: shift is not None)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(k=st.integers(2, 4), X=st.integers(1, 20), shift=RATIONAL_SHIFTS | ALGEBRAIC_SHIFTS)
+# cells with witnesses, which few drawn cells have: either sign of a
+# rational, a quadratic and a cubic
+@example(k=4, X=20, shift=Rational(1, 2))
+@example(k=3, X=20, shift=Rational(-5, 2))
+@example(k=4, X=14, shift=Algebraic(MinimalPolynomial([2, -3, -1])))
+@example(k=4, X=14, shift=Algebraic(MinimalPolynomial([2, 1, 3, 1])))
+def test_lemma_check_accepts_every_witness(k, X, shift):
+    # a shift -p with p in [1, X] makes a zero factor, whose semantics are open
+    assume(not (isinstance(shift, Rational) and shift.q == 1 and 1 <= -shift.p <= X))
+    m = minimal_polynomial_for(shift)
+    for pair in find_nondiagonal_witnesses(k, X, shift):
+        assert verify_witness(pair, m, X).all_ok, pair
+    text = format_shift(shift)
+    with tempfile.TemporaryDirectory() as tmp:
+        witnesses, reports = os.path.join(tmp, "w.json"), os.path.join(tmp, "r.json")
+        cell = ["--k", str(k), "--X", str(X), "--shift", text]
+        assert main(["witness", *cell, "--out", witnesses]) == 0
+        assert main(["lemma-check", *cell[2:], "--in", witnesses, "--out", reports]) == 0
 
 
 def test_error_entries_equal_json_dumps(capsys, tmp_path):
@@ -462,12 +523,15 @@ class TestErrors:
         )
         assert code == 2 and "budget" in err
 
-    def test_witness_pairs_over_budget_exit_code(self, capsys):
-        cell = ("--k", "3", "--X", "100", "--shift", "rational:1/2", "--memory-budget-mb", "32")
+    def test_colliding_multisets_over_budget_exit_code(self, capsys, tmp_path):
+        # the table fits 16 MiB; the cell's colliding multisets do not
+        cell = ("--k", "3", "--X", "100", "--shift", "rational:1/2", "--memory-budget-mb", "16")
         code, _, _ = run(capsys, "count", *cell)
         assert code == 0
-        code, out, err = run(capsys, "witness", *cell)
-        assert code == 2 and out == "" and "witness pairs" in err
+        path = tmp_path / "w.json"
+        code, out, err = run(capsys, "witness", *cell, "--out", str(path))
+        assert code == 2 and out == "" and "104758 colliding multisets" in err
+        assert not path.exists()
 
     def test_file_errors_are_usage_errors(self, capsys, tmp_path):
         missing = tmp_path / "absent"

@@ -191,13 +191,13 @@ class TestDiagonalCount:
 
 class TestWitnesses:
     def test_none_for_degree_equal_k(self):
-        assert find_nondiagonal_witnesses(2, 10, SQRT2) == []
+        assert list(find_nondiagonal_witnesses(2, 10, SQRT2)) == []
 
     def test_none_for_transcendental(self):
-        assert find_nondiagonal_witnesses(3, 15, Transcendental()) == []
+        assert list(find_nondiagonal_witnesses(3, 15, Transcendental())) == []
 
     def test_rational_example(self):
-        pairs = find_nondiagonal_witnesses(2, 7, HALF)
+        pairs = list(find_nondiagonal_witnesses(2, 7, HALF))
         assert SolutionPair((1, 7), (2, 4)) in pairs
 
     def test_matches_oracle(self):
@@ -208,7 +208,7 @@ class TestWitnesses:
 
     def test_sqrt2_k3_pairs_solve_coordinate_system(self):
         # any pair found must equate both symmetric coordinates of the products
-        pairs = find_nondiagonal_witnesses(3, 30, SQRT2)
+        pairs = list(find_nondiagonal_witnesses(3, 30, SQRT2))
         for p in pairs:
             sx = elementary_symmetric(p.x)
             sy = elementary_symmetric(p.y)
@@ -218,12 +218,12 @@ class TestWitnesses:
             assert sorted(p.x) != sorted(p.y)
 
     def test_limit_and_order(self):
-        pairs = find_nondiagonal_witnesses(2, 30, HALF)
+        pairs = list(find_nondiagonal_witnesses(2, 30, HALF))
         assert pairs == sorted(pairs, key=lambda p: (p.x, p.y))
-        assert find_nondiagonal_witnesses(2, 30, HALF, limit=3) == pairs[:3]
+        assert list(find_nondiagonal_witnesses(2, 30, HALF, limit=3)) == pairs[:3]
 
     def test_limit_builds_only_the_kept_pairs(self, monkeypatch):
-        first = find_nondiagonal_witnesses(3, 30, HALF)[0]
+        first = list(find_nondiagonal_witnesses(3, 30, HALF))[0]
         built = []
         post_init = SolutionPair.__post_init__
         canonical = SolutionPair._canonical
@@ -240,31 +240,31 @@ class TestWitnesses:
         # count both constructors so neither may build the dropped pairs
         monkeypatch.setattr(SolutionPair, "__post_init__", spy)
         monkeypatch.setattr(SolutionPair, "_canonical", canonical_spy)
-        assert find_nondiagonal_witnesses(3, 30, HALF, limit=1) == [first]
+        assert list(find_nondiagonal_witnesses(3, 30, HALF, limit=1)) == [first]
         assert len(built) == 1
 
     def test_collector_paused_and_restored(self, monkeypatch):
-        # the search pauses the cyclic collector while it builds the pairs
-        # and leaves it as the caller had it, also when the build raises
+        # the search pauses the cyclic collector while it builds the colliding
+        # groups and leaves it as the caller had it, also when the build raises
         states = []
-        canonical = SolutionPair._canonical
+        dict_groups = counting._dict_groups
 
-        def spy(x, y):
+        def spy(*args):
             states.append(gc.isenabled())
-            return canonical(x, y)
+            return dict_groups(*args)
 
-        def fail(x, y):
+        def fail(*args):
             raise RuntimeError("build failed")
 
         enabled = gc.isenabled()
         try:
-            monkeypatch.setattr(SolutionPair, "_canonical", spy)
+            monkeypatch.setattr(counting, "_dict_groups", spy)
             for caller_has_it_on in (True, False):
                 (gc.enable if caller_has_it_on else gc.disable)()
-                assert find_nondiagonal_witnesses(2, 30, HALF)
+                assert list(find_nondiagonal_witnesses(2, 30, HALF))
                 assert gc.isenabled() is caller_has_it_on
-            assert states and not any(states)
-            monkeypatch.setattr(SolutionPair, "_canonical", fail)
+            assert states == [False, False]
+            monkeypatch.setattr(counting, "_dict_groups", fail)
             gc.enable()
             with pytest.raises(RuntimeError, match="build failed"):
                 find_nondiagonal_witnesses(2, 30, HALF)
@@ -272,16 +272,26 @@ class TestWitnesses:
         finally:
             (gc.enable if enabled else gc.disable)()
 
-    def test_pairs_over_the_memory_budget(self):
-        # 171,700 multisets fit a 32 MiB table; their 203,005 pairs do not
-        assert count_mean_value(3, 100, HALF, memory_budget_mb=32).nondiagonal > 0
-        with pytest.raises(CapacityError, match="witness pairs"):
-            find_nondiagonal_witnesses(3, 100, HALF, memory_budget_mb=32)
-        assert len(find_nondiagonal_witnesses(3, 100, HALF)) == 203005
+    def test_colliding_multisets_over_the_memory_budget(self, monkeypatch):
+        # 171,700 multisets fit a 16 MiB table; their 104,758 colliding
+        # multisets do not, and the search refuses them before it builds any
+        walks = []
+        walk = counting._walk
+
+        def spy(*args):
+            walks.append(args[2])
+            return walk(*args)
+
+        assert count_mean_value(3, 100, HALF, memory_budget_mb=16).nondiagonal > 0
+        monkeypatch.setattr(counting, "_walk", spy)
+        with pytest.raises(CapacityError, match="k=3, X=100 has 104758 colliding multisets"):
+            find_nondiagonal_witnesses(3, 100, HALF, memory_budget_mb=16)
+        assert walks == [2]  # the counting walk only, not the collecting one
+        assert len(list(find_nondiagonal_witnesses(3, 100, HALF))) == 203005
 
     def test_negative_limit_rejected(self):
-        assert len(find_nondiagonal_witnesses(2, 8, HALF)) == 1
-        assert find_nondiagonal_witnesses(2, 8, HALF, limit=0) == []
+        assert len(list(find_nondiagonal_witnesses(2, 8, HALF))) == 1
+        assert list(find_nondiagonal_witnesses(2, 8, HALF, limit=0)) == []
         for bad in (-1, True, 1.0):
             with pytest.raises(ValueError):
                 find_nondiagonal_witnesses(2, 8, HALF, limit=bad)

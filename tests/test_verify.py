@@ -291,7 +291,7 @@ class TestIntegerVerifyDifferential:
         shift = parse_shift(text)
         pairs = []
         for k, X in self.CELLS[text]:
-            found = find_nondiagonal_witnesses(k, X, shift)
+            found = list(find_nondiagonal_witnesses(k, X, shift))
             for pair in rng.sample(found, min(8, len(found))):
                 pairs.append((pair, X))
                 v = rng.randint(1, X)
