@@ -8,7 +8,9 @@ json) applies to count, scan and contrast; witness and lemma-check always
 write JSON.  count, scan and contrast hand their rows to one writer, whose
 CSV takes its header from the first row's keys.  Every flat JSON list
 (count, contrast, witness, lemma-check) comes from one fixed-schema writer,
-byte-equal to `json.dumps(indent=2)`; scan's JSON document, whose rows sit
+byte-equal to `json.dumps(indent=2)`: count and contrast rows reach it as
+dicts, witness pairs and lemma-check reports as their fields' text, rendered
+straight from the pair or report.  scan's JSON document, whose rows sit
 beside the exponent fit, comes from `json.dumps` itself.  Exit codes: 0
 success / all checks pass, 1 usage or configuration error, 2 capacity
 (memory budget) error, 3 check failure (non-solution, failed identity, or
@@ -36,7 +38,9 @@ from .shifts import Transcendental, format_shift, minimal_polynomial_for, parse_
 from .verify import (
     NotASolutionError,
     PreconditionViolationError,
+    WitnessReport,
     fit_growth_exponent,
+    max_ratio,
     reference_exponent,
     verify_witness,
 )
@@ -141,15 +145,46 @@ def _json_scalar(value) -> str:
     return _json_string(value)
 
 
-def _json_field(value) -> str:
-    if not isinstance(value, list):
-        return _json_scalar(value)
-    if not value:
+def _json_list(values: Sequence, render) -> str:
+    """A list field's value as `json.dumps(indent=2)` lays it out, each value by `render`."""
+    if not values:
         return "[]"
-    return "[\n      " + ",\n      ".join(map(_json_scalar, value)) + "\n    ]"
+    return "[\n      " + ",\n      ".join(map(render, values)) + "\n    ]"
 
 
-def _json_records(records: Iterable[dict]) -> Iterator[str]:
+def _json_field(value) -> str:
+    if isinstance(value, list):
+        return _json_list(value, _json_scalar)
+    return _json_scalar(value)
+
+
+def _pair_fields(pair: SolutionPair) -> list[str]:
+    """The rendered fields of `pair.to_json_dict()`."""
+    return ['"x": ' + _json_list(pair.x, int.__repr__),
+            '"y": ' + _json_list(pair.y, int.__repr__)]
+
+
+def _ratio_text(coeffs: Sequence[int], X: int, n: int) -> str:
+    """str(Fraction) of the ratio maximum `max_ratio` finds, as a JSON string."""
+    num, den = max_ratio(coeffs, X, n)
+    return f'"{num}"' if den == 1 else f'"{num}/{den}"'
+
+
+def _report_fields(report: WitnessReport) -> list[str]:
+    """The rendered fields of `report.to_json_dict()`."""
+    f, psi, X, k = report.f.coeffs, report.psi.coeffs, report.x_cap, report.k
+    return _pair_fields(report.pair) + [
+        '"F_coeffs": ' + _json_list(f, int.__repr__),
+        '"psi_coeffs": ' + _json_list(psi, int.__repr__),
+        '"rho": ' + _json_list(report.rho, int.__repr__),
+        '"C_a": ' + _ratio_text(f, X, k),
+        '"C_b": ' + _ratio_text(psi, X, k - report.d),
+        '"norm_ok": ' + _json_scalar(report.norm_identity_ok),
+        '"lemma_ok": ' + _json_list(report.lemma_ok, _json_scalar),
+    ]
+
+
+def _json_records(records: Iterable[dict | list[str]]) -> Iterator[str]:
     """`json.dumps(records, indent=2) + "\n"`, byte for byte, for flat records.
 
     This is the fixed schema of every flat JSON list the CLI writes (count,
@@ -158,15 +193,17 @@ def _json_records(records: Iterable[dict]) -> Iterator[str]:
     Strings go through the escaper `json.dumps` uses.  The indenting encoder
     behind `json.dumps(indent=2)` is pure Python and was the slowest step of
     writing a large witness list, so this writer stands in for it and must
-    stay byte-equal to it.  It yields the text one record at a time, so the
-    records may come from a generator and neither they nor the text are ever
-    held whole.
+    stay byte-equal to it.  A record is a dict, or the list of its fields
+    already rendered as `"key": value` text, as `_pair_fields` and
+    `_report_fields` render witnesses and reports without building a dict.
+    It yields the text one record at a time, so the records may come from a
+    generator and neither they nor the text are ever held whole.
     """
     opening = "[\n"
     for record in records:
-        fields = ",\n    ".join(
-            [_json_string(key) + ": " + _json_field(value) for key, value in record.items()]
-        )
+        if isinstance(record, dict):
+            record = [_json_string(key) + ": " + _json_field(v) for key, v in record.items()]
+        fields = ",\n    ".join(record)
         yield opening + ("  {\n    " + fields + "\n  }" if fields else "  {}")
         opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"
@@ -233,7 +270,7 @@ def _cmd_witness(args) -> int:
         limit=args.limit,
         memory_budget_mb=args.memory_budget_mb,
     )
-    _emit(_json_records(p.to_json_dict() for p in pairs), args.out)
+    _emit(_json_records(map(_pair_fields, pairs)), args.out)
     return EXIT_OK
 
 
@@ -271,17 +308,17 @@ def _cmd_lemma_check(args) -> int:
                 verify_witness(pair, m, x_cap)
     failures = 0
 
-    def records() -> Iterator[dict]:
+    def records() -> Iterator[list[str]]:
         nonlocal failures
         for pair in pairs:
             try:
                 report = verify_witness(pair, m, x_cap)
             except (NotASolutionError, PreconditionViolationError) as exc:
                 error = str(exc)
-                record = pair.to_json_dict() | {"error": error}
+                record = _pair_fields(pair) + ['"error": ' + _json_string(error)]
             else:
                 error = None if report.all_ok else "identity check failed"
-                record = report.to_json_dict()
+                record = _report_fields(report)
             if error is not None:
                 failures += 1
                 print(f"witness x={list(pair.x)} y={list(pair.y)}: {error}", file=sys.stderr)

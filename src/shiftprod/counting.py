@@ -665,12 +665,8 @@ def _require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
-    """The keyer and the numpy module (None for the dict backend) of a cell.
-
-    Validates the arguments, builds the cell's keyer, picks the backend and
-    applies the capacity guard before anything is enumerated.
-    """
+def _check_cell(k: int, X: int, shift: Shift, memory_budget_mb: int) -> None:
+    """Raise ValueError or TypeError on an invalid cell or budget."""
     _require_int("k", k, 1)
     if k > DEFAULT_MAX_K:
         raise ValueError(f"k={k} exceeds the configured maximum {DEFAULT_MAX_K}")
@@ -678,6 +674,15 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
     if not isinstance(shift, (Transcendental, Algebraic, Rational)):
         raise TypeError(f"not a shift: {shift!r}")
     _require_int("memory budget (MiB)", memory_budget_mb, 1)
+
+
+def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
+    """The keyer and the numpy module (None for the dict backend) of a cell.
+
+    Validates the arguments, builds the cell's keyer, picks the backend and
+    applies the capacity guard before anything is enumerated.
+    """
+    _check_cell(k, X, shift, memory_budget_mb)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
     entries = comb(X + k - 1, k)
@@ -945,8 +950,11 @@ def find_nondiagonal_witnesses(
     the colliding groups before it returns, so ValueError and CapacityError
     are raised by the call itself; the pairs are then built one at a time as
     the iterator is consumed, and never held together.  Transcendental
-    shifts are legal and yield nothing.  `limit`, if given, keeps the first
-    `limit` pairs and must not be negative.
+    shifts are legal and yield nothing: prod(x_i + t) = prod(y_i + t) in Z[t]
+    forces equal multisets, so once the arguments are validated the call
+    returns an empty iterator without enumerating the cell, and no cell of
+    theirs is too large.  `limit`, if given, keeps the first `limit` pairs and
+    must not be negative.
 
     A caller that keeps every pair, as in `list(...)`, should pause the
     cyclic collector around it (`gc.disable()`): millions of kept pairs,
@@ -954,6 +962,9 @@ def find_nondiagonal_witnesses(
     """
     if limit is not None:
         _require_int("limit", limit, 0)
+    if isinstance(shift, Transcendental):
+        _check_cell(k, X, shift, memory_budget_mb)
+        return iter(())
     keyer, np = _settle(k, X, shift, memory_budget_mb)
     # The colliding multisets are new objects, millions on a rational cell,
     # and none is in a reference cycle, so the cyclic collector would only

@@ -50,6 +50,20 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of_ints(cls, coeffs: list[int]) -> "Poly":
+        """A polynomial from int coefficients the engine computed itself.
+
+        Skips `__init__`'s per-coefficient check and only strips trailing
+        zeros (from `coeffs`, in place); input read from outside the engine
+        goes through the public constructor instead.
+        """
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        return poly
+
     @property
     def degree(self) -> Union[int, float]:
         """Degree of the polynomial; the zero polynomial has degree -inf."""
@@ -193,14 +207,18 @@ def elementary_symmetric(values: Sequence[int]) -> tuple[int, ...]:
     s_j is the coefficient of t^(k-j) in the product of (t + v_i); s_0 = 1.
     The result is invariant under permutation of the input.
     """
-    k = len(values)
-    if k < 1:
+    if len(values) < 1:
         raise ValueError("elementary symmetric polynomials need at least one value")
-    sig = [0] * (k + 1)
-    sig[0] = 1
-    for i, v in enumerate(values):
-        for j in range(min(i + 1, k), 0, -1):
-            sig[j] += v * sig[j - 1]
+    sig = [1]
+    for v in values:
+        # multiply by (t + v): s_j becomes s_j + v * s_(j-1)
+        prev = 0
+        grown = []
+        for s in sig:
+            grown.append(s + v * prev)
+            prev = s
+        grown.append(v * prev)
+        sig = grown
     return tuple(sig)
 
 

@@ -7,9 +7,7 @@ the two sides cancelled) the difference polynomial
 
 has degree at most k-1 and vanishes at theta, so the minimal polynomial m of
 theta divides it exactly: F = m * Psi with Psi an integer polynomial (m is
-primitive, so Gauss's lemma applies).  Polynomial division keeps int
-coefficients while each step divides exactly, so Psi, rho and the norms below
-are computed over the integers throughout.  Evaluating at t = -y_j turns the
+primitive, so Gauss's lemma applies).  Evaluating at t = -y_j turns the
 factorization into k integer identities
 
     prod_i (x_i - y_j) = rho_j * m(-y_j),      rho_j = Psi(-y_j),
@@ -21,10 +19,19 @@ and taking norms of the defining equation gives
 This module verifies all of these exactly on concrete witnesses, measures
 the normalised coefficient ratios |F_j| / X^(k-j) and |Psi_m| / X^(k-d-m)
 whose suprema play the role of the implicit constants, and fits growth
-exponents of non-diagonal counts from count reports.  The ratios of one
-polynomial share the denominator X^n (n = k or k - d), so the largest is
-found in the integers as the largest |c_j| * X^j, and only that maximum
-becomes a `Fraction`.
+exponents of non-diagonal counts from count reports.
+
+`verify_witness` is an integer kernel: F comes from the two elementary
+symmetric vectors as a `Poly` of ints built without re-validation, Psi from
+synthetic division on ints, and each m(-y_j) is evaluated once by Horner's
+rule and serves both the k identities and the norm identity.  Only a
+non-solution leaves the integers: its division falls back to the rational
+`divmod` of `Poly`, whose remainder the error reports.  A `WitnessReport`
+holds F, Psi, rho and the verdicts; the ratio maxima C_a and C_b are derived
+from F, Psi and X when read.  The ratios of one polynomial share the
+denominator X^n (n = k or k - d), so the largest is found in the integers as
+the largest |c_j| * X^j and reduced by one gcd (`max_ratio`); the
+`Fraction` properties and the CLI's report text both come from it.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .counting import CountReport, SolutionPair, cancel_common_factors
-from .polynomials import MinimalPolynomial, Poly, elementary_symmetric, norm_factor
+from .polynomials import MinimalPolynomial, Poly, elementary_symmetric
 from .shifts import Shift, Transcendental, minimal_polynomial_for
 
 
@@ -61,7 +68,8 @@ def product_difference(x: Sequence[int], y: Sequence[int]) -> Poly:
         raise ValueError("need two tuples of equal length k >= 1")
     # elementary_symmetric lists the coefficients highest power first
     diff = [a - b for a, b in zip(elementary_symmetric(x), elementary_symmetric(y))]
-    return Poly(reversed(diff))
+    diff.reverse()
+    return Poly._of_ints(diff)
 
 
 def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
@@ -70,11 +78,30 @@ def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
     A nonzero remainder means the pair that produced f is not a solution for
     this shift.  A divisible f with non-integer quotient cannot happen for a
     primitive m and integral f; it is reported as an invariant violation.
-    One `divmod` does both: it leaves the integers only where m's leading
-    coefficient fails to divide, which for an exact quotient never happens.
+    Synthetic division runs on the ints while each step divides exactly; at
+    the first step that does not, or on a nonzero remainder, one `divmod`
+    over the rationals finds the remainder the error reports.
     """
     if not f:
         raise ValueError("the difference polynomial must be nonzero")
+    mc = m.coeffs
+    d = len(mc) - 1
+    lead = mc[d]
+    rem = list(f.coeffs)
+    quotient = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                break  # the quotient leaves the integers
+            quotient[i - d] = q
+            for j in range(d):
+                rem[i - d + j] -= q * mc[j]
+    else:
+        if not any(rem[:d]):
+            return Poly._of_ints(quotient)
+    # f is no multiple of m in Z[t]: the division over Q finds what to report
     quotient, remainder = divmod(f, m.poly)
     if remainder:
         raise NotASolutionError(
@@ -87,25 +114,53 @@ def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
     return quotient
 
 
-def _max_ratio(p: Poly, X: int, n: int) -> Fraction:
-    """max |p_j| / X^(n-j) over j < n, compared in the integers as |p_j| * X^j."""
+def _at_negatives(coeffs: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
+    """p(-v) for each value v, by Horner's rule on p's coefficients (constant first)."""
+    top = coeffs[::-1]
+    out = []
+    for v in values:
+        acc = 0
+        for c in top:
+            acc = c - acc * v
+        out.append(acc)
+    return tuple(out)
+
+
+def max_ratio(coeffs: Sequence[int], X: int, n: int) -> tuple[int, int]:
+    """max |c_j| / X^(n-j) over j < n, as numerator and denominator in lowest terms.
+
+    The ratios share the denominator X^n, so the largest is found in the
+    integers as the largest |c_j| * X^j.
+    """
     top, scale = 0, 1
-    for c in p.coeffs[:n]:
-        top = max(top, abs(c) * scale)
+    for c in coeffs[:n]:
+        c = abs(c) * scale
+        if c > top:
+            top = c
         scale *= X
-    return Fraction(top, X**n)
+    den = X**n
+    g = math.gcd(top, den)
+    return top // g, den // g
 
 
-def norm_identity_check(pair: SolutionPair, m: MinimalPolynomial) -> bool:
-    """Whether prod m(-x_i) = prod m(-y_i); false signals a non-solution."""
-    lhs = math.prod(norm_factor(v, m) for v in pair.x)
-    rhs = math.prod(norm_factor(v, m) for v in pair.y)
-    return lhs == rhs
+def norm_identity_check(
+    pair: SolutionPair, m: MinimalPolynomial, m_at_y: Optional[Sequence[int]] = None
+) -> bool:
+    """Whether prod m(-x_i) = prod m(-y_i); false signals a non-solution.
+
+    `m_at_y`, if given, holds the values m(-y_i) already evaluated.
+    """
+    if m_at_y is None:
+        m_at_y = _at_negatives(m.coeffs, pair.y)
+    return math.prod(_at_negatives(m.coeffs, pair.x)) == math.prod(m_at_y)
 
 
 @dataclasses.dataclass(frozen=True)
 class WitnessReport:
-    """All verification results for one fully-cancelled witness pair."""
+    """All verification results for one fully-cancelled witness pair.
+
+    The ratio maxima C_a and C_b are derived from `f`, `psi` and `x_cap`.
+    """
 
     pair: SolutionPair
     minpoly: MinimalPolynomial
@@ -113,8 +168,6 @@ class WitnessReport:
     f: Poly
     psi: Poly
     rho: tuple[int, ...]
-    max_f_ratio: Fraction
-    max_psi_ratio: Fraction
     norm_identity_ok: bool
     lemma_ok: tuple[bool, ...]
 
@@ -125,6 +178,16 @@ class WitnessReport:
     @property
     def d(self) -> int:
         return self.minpoly.degree
+
+    @property
+    def max_f_ratio(self) -> Fraction:
+        """C_a of this witness: max |F_j| / X^(k-j) over j < k."""
+        return Fraction(*max_ratio(self.f.coeffs, self.x_cap, self.k))
+
+    @property
+    def max_psi_ratio(self) -> Fraction:
+        """C_b of this witness: max |Psi_j| / X^(k-d-j) over j < k - d."""
+        return Fraction(*max_ratio(self.psi.coeffs, self.x_cap, self.k - self.d))
 
     @property
     def psi_degree_ok(self) -> bool:
@@ -159,36 +222,31 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
     NotASolutionError when the pair does not solve the equation.
     """
     pair = cancel_common_factors(pair)
-    k = pair.k
+    x, y = pair.x, pair.y
+    k = len(x)
     d = m.degree
-    if pair.is_diagonal:
+    if x == y:
         raise PreconditionViolationError("diagonal after cancellation")
     if k <= d:
         raise PreconditionViolationError(
             f"k={k} must exceed the minimal-polynomial degree d={d}"
         )
-    if X < max(pair.x + pair.y):
+    if X < max(x + y):
         raise ValueError(f"X={X} is below the largest witness entry")
 
-    f = product_difference(pair.x, pair.y)
+    f = product_difference(x, y)
     psi = factor_out_minpoly(f, m)
-    rho = tuple(psi.evaluate(-yj) for yj in pair.y)
+    rho = _at_negatives(psi.coeffs, y)
+    m_at_y = _at_negatives(m.coeffs, y)
     lemma_ok = []
-    for yj, rho_j in zip(pair.y, rho):
-        lhs = math.prod(xi - yj for xi in pair.x)
-        m_at = norm_factor(yj, m)
+    for yj, rho_j, m_at in zip(y, rho, m_at_y):
+        lhs = 1
+        for xi in x:
+            lhs *= xi - yj
         lemma_ok.append(lhs == rho_j * m_at and rho_j != 0 and m_at != 0)
+    # positional: keywords cost a frozen dataclass about 1 us more per report
     return WitnessReport(
-        pair=pair,
-        minpoly=m,
-        x_cap=X,
-        f=f,
-        psi=psi,
-        rho=rho,
-        max_f_ratio=_max_ratio(f, X, k),
-        max_psi_ratio=_max_ratio(psi, X, k - d),
-        norm_identity_ok=norm_identity_check(pair, m),
-        lemma_ok=tuple(lemma_ok),
+        pair, m, X, f, psi, rho, norm_identity_check(pair, m, m_at_y), tuple(lemma_ok)
     )
 
 

@@ -17,14 +17,17 @@ from hypothesis import strategies as st
 from shiftprod import (
     Algebraic,
     MinimalPolynomial,
+    Poly,
     Rational,
+    SolutionPair,
+    WitnessReport,
     find_nondiagonal_witnesses,
     format_shift,
     minimal_polynomial_for,
     parse_shift,
     verify_witness,
 )
-from shiftprod.cli import _json_records, main
+from shiftprod.cli import _json_records, _load_witnesses, _pair_fields, _report_fields, main
 
 
 def run(capsys, *args):
@@ -289,6 +292,59 @@ class TestJsonRecords:
         assert "".join(_json_records(records)) == json.dumps(records, indent=2) + "\n"
 
 
+MINPOLYS = [MinimalPolynomial(cs) for cs in ([-1, 2], [-2, 0, 1], [2, 1, 3, 1])]
+BIG_INTS = st.one_of(
+    st.integers(-50, 50),
+    st.integers(min_value=2**64 - 2, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64) + 2),
+)
+
+
+def witness_pairs(k):
+    side = st.tuples(*[st.integers(1, 2**70)] * k)
+    return st.builds(SolutionPair, side, side)
+
+
+WITNESS_PAIRS = st.integers(1, 6).flatmap(witness_pairs)
+
+
+@st.composite
+def witness_reports(draw):
+    """Any report a writer may meet, genuine or not, with k > d as verify_witness ensures."""
+    m = draw(st.sampled_from(MINPOLYS))
+    k = draw(st.integers(m.degree + 1, 6))
+    return WitnessReport(
+        pair=draw(witness_pairs(k)),
+        minpoly=m,
+        x_cap=draw(st.integers(1, 2**70)),
+        f=Poly(draw(st.lists(BIG_INTS, max_size=k))),
+        psi=Poly(draw(st.lists(BIG_INTS, max_size=k - m.degree))),
+        rho=tuple(draw(st.lists(BIG_INTS, min_size=k, max_size=k))),
+        norm_identity_ok=draw(st.booleans()),
+        lemma_ok=tuple(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
+    )
+
+
+@settings(deadline=None)
+@given(WITNESS_PAIRS | witness_reports())
+# a one-term psi; a zero C_b, which prints "0"; a failed norm and lemma check
+@example(WitnessReport(
+    SolutionPair((1, 7), (2, 4)), MINPOLYS[0], 7, Poly([-1, 2]), Poly([1]), (1, 1), True, (True, True)
+))
+@example(WitnessReport(
+    SolutionPair((1, 2**65), (3, 2**66)), MINPOLYS[1], 2**66, Poly([-(2**70), 2**64 + 1]),
+    Poly([]), (0, -(2**64) - 5, 3), False, (True, False, True)
+))
+def test_rendered_witness_records_equal_json_dumps(record):
+    # witness and lemma-check write pre-rendered fields, not to_json_dict
+    if isinstance(record, WitnessReport):
+        fields = _report_fields(record)
+    else:
+        fields = _pair_fields(record)
+    expected = json.dumps([record.to_json_dict()], indent=2) + "\n"
+    assert "".join(_json_records([fields])) == expected
+
+
 @pytest.mark.parametrize("k, X, text", [(2, 40, "rational:1/2"), (3, 30, "minpoly:-2,0,1")])
 def test_written_files_equal_json_dumps_of_engine_dicts(tmp_path, k, X, text):
     # a change to the writer must fail here before it changes a benchmark digest
@@ -312,25 +368,41 @@ def test_written_files_equal_json_dumps_of_engine_dicts(tmp_path, k, X, text):
     assert reports.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
 
+def peak(call):
+    """The tracemalloc peak of `call()`, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_witness_command_peaks_near_the_engine(tmp_path):
     # the engine yields its pairs and the writer streams one record at a
     # time, so the command holds little beyond the search's colliding groups
     k, X, text = 3, 60, "rational:1/2"
     argv = ["witness", "--k", str(k), "--X", str(X), "--shift", text, "--out", str(tmp_path / "w")]
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     main(argv)  # first-use caches, outside the measurement
     shift = parse_shift(text)
     engine = peak(lambda: collections.deque(find_nondiagonal_witnesses(k, X, shift), 0))
     command = peak(lambda: main(argv))
     assert command <= 1.2 * engine, (command, engine)
+
+
+def test_lemma_check_peaks_near_the_loader(tmp_path):
+    # lemma-check verifies and writes one report at a time, so the command
+    # holds little beyond the witness list it read
+    k, X, text = 2, 150, "rational:1/2"
+    witnesses = str(tmp_path / "w.json")
+    assert main(["witness", "--k", str(k), "--X", str(X), "--shift", text, "--out", witnesses]) == 0
+    argv = ["lemma-check", "--shift", text, "--X", str(X), "--in", witnesses,
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0  # first-use caches, outside the measurement
+    loaded = peak(lambda: _load_witnesses(witnesses))
+    command = peak(lambda: main(argv))
+    assert len(_load_witnesses(witnesses)) > 2000
+    assert command <= 1.2 * loaded, (command, loaded)
 
 
 def _algebraic_or_none(coeffs):

@@ -196,6 +196,32 @@ class TestWitnesses:
     def test_none_for_transcendental(self):
         assert list(find_nondiagonal_witnesses(3, 15, Transcendental())) == []
 
+    def test_transcendental_search_does_no_work(self, monkeypatch):
+        # equal products in Z[t] force equal multisets, so no cell of a
+        # transcendental shift is enumerated or too large for the budget
+        def never(*args):
+            raise AssertionError("a transcendental cell was enumerated")
+
+        monkeypatch.setattr(counting, "_array_groups", never)
+        monkeypatch.setattr(counting, "_dict_groups", never)
+        shift = Transcendental()
+        with pytest.raises(CapacityError):
+            count_mean_value(6, 400, shift, memory_budget_mb=1)
+        for k, X in [(6, 400), (2, 3), (1, 1)]:
+            assert list(find_nondiagonal_witnesses(k, X, shift, memory_budget_mb=1)) == []
+        for k, X, kwargs in [
+            (0, 10, {}),
+            (7, 10, {}),
+            (True, 10, {}),
+            (3, 0, {}),
+            (3, 10, {"limit": -1}),
+            (3, 10, {"memory_budget_mb": 0}),
+        ]:
+            with pytest.raises(ValueError):
+                find_nondiagonal_witnesses(k, X, shift, **kwargs)
+        with pytest.raises(TypeError):
+            find_nondiagonal_witnesses(3, 10, "transcendental")
+
     def test_rational_example(self):
         pairs = list(find_nondiagonal_witnesses(2, 7, HALF))
         assert SolutionPair((1, 7), (2, 4)) in pairs

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from shiftprod import (
@@ -359,6 +361,49 @@ class TestIntegerVerifyDifferential:
         with pytest.raises(NotASolutionError) as info:
             verify_witness(SolutionPair((1, 4), (2, 6)), HALF_M, 6)
         assert str(info.value) == "2t - 1 does not divide -3t - 8 (remainder -19/2)"
+
+    # m's leading coefficient is 2 or 3 in all but the monic cubic, so the
+    # integer division can stop at any step, or find a remainder at the end
+    NON_SOLUTION_SHIFTS = ["rational:1/2", "rational:-5/3", "minpoly:-3,0,2",
+                           "minpoly:2,1,3,1", "minpoly:1,0,0,2"]
+    # the quotients of these leave the integers after an integral first step
+    MIDWAY = [
+        ("rational:1/2", (1, 15, 25, 27), (2, 8, 21, 29)),
+        ("rational:-5/3", (13, 16, 24), (3, 7, 10)),
+        ("minpoly:-3,0,2", (15, 20, 21, 28), (2, 10, 14, 16)),
+    ]
+
+    @staticmethod
+    def divide(text, x, y):
+        """m, the pair, its F and F's quotient and remainder by m from divmod."""
+        m = minimal_polynomial_for(parse_shift(text))
+        pair = SolutionPair(x, y)
+        f = product_difference(pair.x, pair.y)
+        return (m, pair, f) + divmod(f, m.poly)
+
+    @staticmethod
+    def assert_divmod_message(m, pair, f, remainder):
+        with pytest.raises(NotASolutionError) as info:
+            verify_witness(pair, m, 40)
+        assert str(info.value) == f"{m.poly} does not divide {f} (remainder {remainder})"
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        text=st.sampled_from(NON_SOLUTION_SHIFTS),
+        k=st.integers(2, 4),
+        values=st.lists(st.integers(1, 40), min_size=8, max_size=8, unique=True),
+    )
+    def test_non_solutions_keep_the_divmod_message(self, text, k, values):
+        m, pair, f, _, remainder = self.divide(text, tuple(values[:k]), tuple(values[k : 2 * k]))
+        assume(k > m.degree and remainder)
+        self.assert_divmod_message(m, pair, f, remainder)
+
+    @pytest.mark.parametrize("text, x, y", MIDWAY)
+    def test_division_leaving_the_integers_midway(self, text, x, y):
+        m, pair, f, quotient, remainder = self.divide(text, x, y)
+        assert type(quotient.coeffs[-1]) is int
+        assert any(type(c) is Fraction for c in quotient.coeffs)
+        self.assert_divmod_message(m, pair, f, remainder)
 
     @pytest.mark.parametrize("text", SHIFTS)
     def test_diagonal_and_shared_value_pairs_rejected(self, text):
