@@ -3,7 +3,9 @@
 Subcommands: count, scan, witness, lemma-check, contrast.  Each calls the
 engine directly: count, scan and contrast call `count_mean_value` once per
 cell, witness calls `find_nondiagonal_witnesses`, and lemma-check calls
-`verify_witness`, which cancels shared values itself.  `--format` (csv or
+`verify_witness`, which cancels shared values itself, on chunks of its pairs,
+in a pool of forked workers when there are two chunks and two CPUs or more
+(see `_checked_chunks`).  `--format` (csv or
 json) applies to count, scan and contrast; witness and lemma-check always
 write JSON.  count, scan and contrast hand their rows to one writer, whose
 CSV takes its header from the first row's keys.  Every flat JSON list
@@ -22,8 +24,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
+import gc
 import io
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -184,6 +189,21 @@ def _report_fields(report: WitnessReport) -> list[str]:
     ]
 
 
+def _json_record(fields: list[str]) -> str:
+    """One record of `json.dumps(indent=2)`'s list, from its rendered fields."""
+    text = ",\n    ".join(fields)
+    return "  {\n    " + text + "\n  }" if text else "  {}"
+
+
+def _json_list_text(records: Iterable[str]) -> Iterator[str]:
+    """The list of rendered records, as `_json_record` renders them, a record at a time."""
+    opening = "[\n"
+    for record in records:
+        yield opening + record
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
+
+
 def _json_records(records: Iterable[dict | list[str]]) -> Iterator[str]:
     """`json.dumps(records, indent=2) + "\n"`, byte for byte, for flat records.
 
@@ -199,14 +219,12 @@ def _json_records(records: Iterable[dict | list[str]]) -> Iterator[str]:
     It yields the text one record at a time, so the records may come from a
     generator and neither they nor the text are ever held whole.
     """
-    opening = "[\n"
-    for record in records:
+    def render(record) -> str:
         if isinstance(record, dict):
             record = [_json_string(key) + ": " + _json_field(v) for key, v in record.items()]
-        fields = ",\n    ".join(record)
-        yield opening + ("  {\n    " + fields + "\n  }" if fields else "  {}")
-        opening = ",\n"
-    yield "[]\n" if opening == "[\n" else "\n]\n"
+        return _json_record(record)
+
+    return _json_list_text(map(render, records))
 
 
 def _emit_rows(args, rows: Sequence[dict], trailer: Sequence[str] = ()) -> None:
@@ -274,21 +292,147 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _load_witnesses(path: Optional[str]) -> list[SolutionPair]:
-    if path and path != "-":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+Sides = tuple[tuple[int, ...], tuple[int, ...]]
+
+# lemma-check verifies and renders its pairs in chunks, one task each.  A
+# chunk holds 1024 pairs, or a sixteenth of the input if that is fewer, but
+# no fewer than 256.  On rational:1/2 at k=2, X=400, chunks of 256 took
+# about 0.1 s longer than chunks of 1024 in a pool of two on a 2-core
+# machine.  A chunk's records are held as one text, about 440 B a pair at
+# k=2, against about 170 B for the pair's loaded tuples, so a small input
+# takes smaller chunks, whose text stays small beside the input.
+_CHUNK_PAIRS = 1024
+_MIN_CHUNK_PAIRS = 256
+
+
+def _parse_witnesses(text: str) -> list[Sides]:
+    """The canonical sides of the witnesses in a JSON array, parsed whole by `json.loads`.
+
+    Raises the first fault of the text: a JSON syntax error, a value that is
+    not an array, or an entry that is no valid witness.
+    """
+    data = json.loads(text)
     if not isinstance(data, list):
         raise _UsageError("witness input must be a JSON array of {x, y} objects")
     pairs = []
     for entry in data:
         try:
-            pairs.append(SolutionPair(tuple(entry["x"]), tuple(entry["y"])))
+            pair = SolutionPair(tuple(entry["x"]), tuple(entry["y"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad witness entry {entry!r}: {exc}") from None
+        pairs.append((pair.x, pair.y))
     return pairs
+
+
+def _decode_witnesses(text: str) -> list[Sides]:
+    """`_parse_witnesses(text)` on well-formed input, one array element at a time.
+
+    Raises on anything that is not an array of valid witnesses, without
+    saying what: the caller reports the error `_parse_witnesses` finds.
+    """
+    skip = json.decoder.WHITESPACE.match
+    decode = json.JSONDecoder().raw_decode
+    pairs = []
+    at = skip(text).end()
+    if text[at:at + 1] != "[":
+        raise ValueError("not an array")
+    at = skip(text, at + 1).end()
+    if text[at:at + 1] != "]":
+        while True:
+            entry, at = decode(text, at)
+            pair = SolutionPair(tuple(entry["x"]), tuple(entry["y"]))
+            pairs.append((pair.x, pair.y))
+            at = skip(text, at).end()
+            if text[at:at + 1] != ",":
+                break
+            at = skip(text, at + 1).end()
+        if text[at:at + 1] != "]":
+            raise ValueError("no delimiter")
+    if skip(text, at + 1).end() != len(text):
+        raise ValueError("extra data")
+    return pairs
+
+
+def _load_witnesses(path: Optional[str]) -> list[Sides]:
+    """The canonical sides `(x, y)` of each witness in a JSON array file (stdin: None or "-").
+
+    Each entry is validated by the `SolutionPair` constructor, and only its
+    sides are kept.  The text is decoded an element at a time, so the whole
+    array is never held as parsed JSON.  The kept tuples are in no reference
+    cycle, so the cyclic collector pauses while they are built.  On any
+    fault the text is parsed again by `json.loads`, so that the error
+    reported is the one a whole-text parse meets first.
+    """
+    if path and path != "-":
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _decode_witnesses(text)
+    except Exception:  # whatever the fault, the whole-text parse names it
+        return _parse_witnesses(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _check_chunk(chunk: Sequence[Sides], m, x_cap: int) -> tuple[str, list[str], int]:
+    """Verify and render a chunk of pairs: its records' text, its stderr lines, its failures.
+
+    `verify_witness` is looked up in this module when the chunk runs, so a
+    replacement of it reaches forked workers too.
+    """
+    records, errors = [], []
+    for x, y in chunk:
+        pair = SolutionPair._canonical(x, y)
+        try:
+            report = verify_witness(pair, m, x_cap)
+        except (NotASolutionError, PreconditionViolationError) as exc:
+            error = str(exc)
+            fields = _pair_fields(pair) + ['"error": ' + _json_string(error)]
+        else:
+            error = None if report.all_ok else "identity check failed"
+            fields = _report_fields(report)
+        if error is not None:
+            errors.append(f"witness x={list(x)} y={list(y)}: {error}\n")
+        records.append(_json_record(fields))
+    return ",\n".join(records), errors, len(errors)
+
+
+@contextlib.contextmanager
+def _checked_chunks(pairs: list[Sides], m, x_cap: int):
+    """An iterator over `_check_chunk`'s result for each chunk of pairs, in input order.
+
+    With two or more chunks and two or more usable CPUs, the chunks run in a
+    pool of forked workers, one per CPU up to one per chunk; otherwise they
+    run in this process.  The pool is closed and joined on leaving the
+    block, or terminated and joined if the block raises.
+    """
+    size = min(_CHUNK_PAIRS, max(_MIN_CHUNK_PAIRS, len(pairs) // 16))
+    starts = range(0, len(pairs), size)
+    chunks = (pairs[i:i + size] for i in starts)
+    check = functools.partial(_check_chunk, m=m, x_cap=x_cap)
+    # without an affinity mask to read (as on macOS and Windows), one process
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(starts))
+    if workers < 2:
+        yield map(check, chunks)
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool.imap(check, chunks)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
 
 
 def _cmd_lemma_check(args) -> int:
@@ -297,34 +441,27 @@ def _cmd_lemma_check(args) -> int:
         raise _UsageError("lemma-check needs an algebraic or rational shift")
     m = minimal_polynomial_for(shift)
     pairs = _load_witnesses(args.infile)
+    # sides are sorted, so a side's last entry is its largest
     x_cap = args.X
     if x_cap is None:
-        x_cap = max((v for p in pairs for v in p.x + p.y), default=1)
+        x_cap = max((side[-1] for pair in pairs for side in pair if side), default=1)
     # verify_witness raises ValueError on a cancelled pair with an entry above
     # the cap; that pair is found before the first record, so none is written
-    for pair in pairs:
-        if max(pair.x + pair.y, default=0) > x_cap:
+    for x, y in pairs:
+        if x and max(x[-1], y[-1]) > x_cap:
             with contextlib.suppress(NotASolutionError, PreconditionViolationError):
-                verify_witness(pair, m, x_cap)
+                verify_witness(SolutionPair._canonical(x, y), m, x_cap)
     failures = 0
 
-    def records() -> Iterator[list[str]]:
-        nonlocal failures
-        for pair in pairs:
-            try:
-                report = verify_witness(pair, m, x_cap)
-            except (NotASolutionError, PreconditionViolationError) as exc:
-                error = str(exc)
-                record = _pair_fields(pair) + ['"error": ' + _json_string(error)]
-            else:
-                error = None if report.all_ok else "identity check failed"
-                record = _report_fields(report)
-            if error is not None:
-                failures += 1
-                print(f"witness x={list(pair.x)} y={list(pair.y)}: {error}", file=sys.stderr)
-            yield record
+    with _checked_chunks(pairs, m, x_cap) as results:
+        def records() -> Iterator[str]:
+            nonlocal failures
+            for text, errors, failed in results:
+                sys.stderr.writelines(errors)
+                failures += failed
+                yield text
 
-    _emit(_json_records(records()), args.out)
+        _emit(_json_list_text(records()), args.out)
     return EXIT_CHECK if failures else EXIT_OK
 
 

@@ -78,7 +78,20 @@ from .shifts import format_shift, minimal_polynomial_for
 
 DEFAULT_MAX_K = 6
 DEFAULT_MEMORY_BUDGET_MB = 2048
-_BYTES_PER_TABLE_ENTRY = 96
+# The dict backend's peak, by tracemalloc.  Its table is a dict of int keys
+# and weights.  A dict of S slots keeps 4 B of index per slot and a 24 B
+# entry for two thirds of them, 20 B per slot; it doubles its slots as it
+# fills, and while it moves holds both tables, 30 B per slot of the larger.
+# Each entry adds its key, an int of up to 40 B, and from k = 6 on its weight
+# too, an int of 28 B once a weight can pass 256 (k! = 720), the largest int
+# CPython keeps cached.  Per multiset, the peak swings with where the cell's
+# key count falls between two doublings: 66.5 B at k=3, X=100 (171,700
+# multisets) and 124.4 B at X=101 (176,851, just past one), where the model
+# gives 85.8 and 128.9; 153.2 B at k=6, X=20 transcendental against 156.8.
+# No one figure per multiset fits both.
+_DICT_BYTES_PER_SLOT = 30
+_BYTES_PER_TABLE_ENTRY = 40
+_BYTES_PER_LARGE_WEIGHT = 28
 # The array backend pays for importing numpy (0.13-0.17 s) only on cells at
 # least this big.
 _ARRAY_MIN_MULTISETS = 1 << 20
@@ -93,8 +106,7 @@ _ARRAY_MIN_MULTISETS = 1 << 20
 # and 13.8 at k=6, X=25.  The fixed part covers numpy's own import, 6.6 MiB,
 # and the chunk temporaries.  On top comes the table of the X(X+1)/2 pairs of
 # [1, X], whose enumeration is the whole peak at k=2: 36.2 B per pair at k=2,
-# X=1500.  The dict backend measured 66.5 B per table entry the same way; its
-# guard keeps 96 B.
+# X=1500.
 _ARRAY_FIXED_BYTES = 10 << 20
 _ARRAY_BYTES_PER_MULTISET = 11
 _ARRAY_BYTES_PER_REPEAT = 16
@@ -641,6 +653,13 @@ def _array_bytes(k: int, X: int) -> int:
     )
 
 
+def _dict_bytes(k: int, entries: int) -> int:
+    """The dict backend's peak memory on a table of at most `entries` keys, by the model above."""
+    slots = 1 << (3 * entries // 2).bit_length()  # a dict fills two thirds of its slots
+    per_entry = _BYTES_PER_TABLE_ENTRY + (_BYTES_PER_LARGE_WEIGHT if factorial(k) > 256 else 0)
+    return _DICT_BYTES_PER_SLOT * slots + entries * per_entry
+
+
 def _check_budget(needed: int, memory_budget_mb: int, what: str) -> None:
     """Raise CapacityError if `needed` bytes, of `what`, exceed the budget."""
     if needed > memory_budget_mb * (1 << 20):
@@ -686,7 +705,7 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
     entries = comb(X + k - 1, k)
-    needed = entries * _BYTES_PER_TABLE_ENTRY if np is None else _array_bytes(k, X)
+    needed = _dict_bytes(k, entries) if np is None else _array_bytes(k, X)
     _check_budget(needed, memory_budget_mb, f"k={k}, X={X} needs ~{entries} table entries")
     return keyer, np
 

@@ -409,7 +409,7 @@ def test_without_numpy_falls_back_to_dict(array_runs, monkeypatch):
 
 
 def test_capacity_guard_per_backend(monkeypatch):
-    # 10.7M multisets: about 0.13 GiB on the array backend, 1 GiB at 96 B each
+    # 10.7M multisets: about 0.13 GiB on the array backend, 1.2 GiB on the dict's
     report = count_mean_value(3, 400, SQRT2, memory_budget_mb=512)
     assert report.nondiagonal == 6246
     monkeypatch.setitem(sys.modules, "numpy", None)
@@ -457,6 +457,37 @@ def test_wide_table_peak_within_guard():
     # keys beyond int64 share the int64 path's guard; k=6 repeats the most values
     assert not counting._keyer_for(6, 25, TRANS).fits_int64
     assert_table_peak_within_guard(6, 25, TRANS)
+
+
+@pytest.mark.parametrize(
+    "k, X, text, tight",
+    [
+        (3, 100, "minpoly:-2,0,1", False),  # 171,700 keys, short of a doubling
+        (3, 101, "minpoly:-2,0,1", True),  # 176,851 keys, just past one
+        (6, 20, "transcendental", True),  # just past one, and weights past 256
+    ],
+)
+def test_dict_table_peak_within_guard(k, X, text, tight):
+    # the guard's model of a dict's growth bounds the table's peak, and just
+    # past a doubling, where a table peaks highest per key, it is tight
+    assert counting._numpy_for(k, X) is None
+    code = f"""
+        import tracemalloc
+        from shiftprod import counting, parse_shift
+        shift = parse_shift("{text}")
+        counting.build_product_table({k}, 3, shift)  # first-use caches
+        needed = []
+        check_budget = counting._check_budget
+        counting._check_budget = lambda n, *rest: needed.append(n) or check_budget(n, *rest)
+        tracemalloc.start()
+        counting.build_product_table({k}, {X}, shift)
+        print(tracemalloc.get_traced_memory()[1], *needed)
+    """
+    peak, needed = map(int, run_fresh(code).split())
+    assert needed == counting._dict_bytes(k, comb(X + k - 1, k))
+    assert peak <= needed, (peak, needed)
+    if tight:
+        assert peak >= 0.9 * needed, (peak, needed)
 
 
 def guarded_peak(call, force):

@@ -4,7 +4,10 @@ import collections
 import dataclasses
 import io
 import json
+import multiprocessing
+import multiprocessing.pool
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -27,6 +30,8 @@ from shiftprod import (
     parse_shift,
     verify_witness,
 )
+import shiftprod
+from shiftprod import cli
 from shiftprod.cli import _json_records, _load_witnesses, _pair_fields, _report_fields, main
 
 
@@ -440,6 +445,176 @@ def test_lemma_check_accepts_every_witness(k, X, shift):
         cell = ["--k", str(k), "--X", str(X), "--shift", text]
         assert main(["witness", *cell, "--out", witnesses]) == 0
         assert main(["lemma-check", *cell[2:], "--in", witnesses, "--out", reports]) == 0
+
+
+def force_pool(monkeypatch, pairs_per_chunk=2):
+    """Send lemma-check's chunks of `pairs_per_chunk` pairs to a pool of two forked workers.
+
+    Returns the list the pool's `imap` appends to on each call, so a test
+    can tell that the pool ran.
+    """
+    monkeypatch.setattr(cli, "_CHUNK_PAIRS", pairs_per_chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = []
+    imap = multiprocessing.pool.Pool.imap
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap",
+                        lambda pool, *args: calls.append(pool) or imap(pool, *args))
+    return calls
+
+
+def lemma_check_both_ways(capsys, monkeypatch, *args, pairs_per_chunk=2, chunks=2):
+    """lemma-check's (exit code, stdout, stderr) in this process, then from the pool.
+
+    With `chunks` below 2 there is nothing to share out, and the second run
+    must stay in this process too.
+    """
+    in_process = run(capsys, "lemma-check", *args)
+    calls = force_pool(monkeypatch, pairs_per_chunk)
+    pooled = run(capsys, "lemma-check", *args)
+    assert len(calls) == (chunks >= 2), "the pool ran" if calls else "the pool did not run"
+    assert multiprocessing.active_children() == []
+    return in_process, pooled
+
+
+WITNESS_CELLS = [
+    (4, 20, "rational:1/2"),
+    (3, 20, "rational:-5/2"),
+    (4, 14, format_shift(Algebraic(MinimalPolynomial([2, -3, -1])))),
+    (4, 14, format_shift(Algebraic(MinimalPolynomial([2, 1, 3, 1])))),
+]
+
+
+class TestLemmaCheckPool:
+    """Chunks checked in forked workers give the in-process output, byte for byte."""
+
+    @pytest.mark.parametrize("k, X, shift", WITNESS_CELLS)
+    def test_witness_cells(self, capsys, monkeypatch, tmp_path, k, X, shift):
+        witnesses = str(tmp_path / "w.json")
+        assert main(["witness", "--k", str(k), "--X", str(X), "--shift", shift,
+                     "--out", witnesses]) == 0
+        pairs = len(json.loads((tmp_path / "w.json").read_text()))
+        in_process, pooled = lemma_check_both_ways(
+            capsys, monkeypatch, "--shift", shift, "--X", str(X), "--in", witnesses,
+            pairs_per_chunk=1, chunks=pairs)
+        assert in_process[0] == 0 and in_process == pooled
+
+    def test_zero_factor_cell(self, capsys, monkeypatch, tmp_path):
+        # -3 + 3 = 0: lemma-check rejects 15 of the 19 pairs the search finds
+        witnesses = str(tmp_path / "w.json")
+        cell = ("--X", "6", "--shift", "rational:-3")
+        assert main(["witness", "--k", "2", *cell, "--out", witnesses]) == 0
+        in_process, pooled = lemma_check_both_ways(
+            capsys, monkeypatch, *cell, "--in", witnesses, pairs_per_chunk=3)
+        assert in_process[0] == 3 and in_process == pooled
+        assert len(in_process[2].splitlines()) == 15
+
+    def test_failed_identity(self, capsys, monkeypatch, tmp_path):
+        # the replacement is looked up in shiftprod.cli, so forked workers see it
+        def first_identity_fails(pair, m, X):
+            report = verify_witness(pair, m, X)
+            return dataclasses.replace(report, lemma_ok=(False,) + report.lemma_ok[1:])
+
+        monkeypatch.setattr("shiftprod.cli.verify_witness", first_identity_fails)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([{"x": [1, 7], "y": [2, 4]}, {"x": [1, 4], "y": [2, 6]}]))
+        in_process, pooled = lemma_check_both_ways(
+            capsys, monkeypatch, "--shift", "rational:1/2", "--in", str(path), pairs_per_chunk=1)
+        assert in_process[0] == 3 and in_process == pooled
+        assert in_process[2].startswith("witness x=[1, 7] y=[2, 4]: identity check failed\n")
+
+    def test_stdin(self, capsys, monkeypatch):
+        assert main(["witness", "--k", "2", "--X", "12", "--shift", "rational:1/2"]) == 0
+        text = capsys.readouterr().out
+        assert len(json.loads(text)) > 2
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        in_process = run(capsys, "lemma-check", "--shift", "rational:1/2")
+        calls = force_pool(monkeypatch)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        pooled = run(capsys, "lemma-check", "--shift", "rational:1/2")
+        assert calls and in_process[0] == 0 and in_process == pooled
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ('[{"x": [1, 7], "y": [2, 4]}, {"x": [1, 4], "y": [2,',
+             "Expecting value: line 1 column 52 (char 51)"),
+            ('[{"x": [1, 7], "y": [2, 4]}, {"x": [1, 4], "y": [0, 6]}]',
+             "bad witness entry {'x': [1, 4], 'y': [0, 6]}: "
+             "witness entries must be integers >= 1, got 0"),
+            ('{"x": [1, 7], "y": [2, 4]}', "witness input must be a JSON array of {x, y} objects"),
+            ('[{"x": [1, 7], "y": [2, 4]}] []', "Extra data: line 1 column 30 (char 29)"),
+            # (x + 1) products: 2 * 8 = 4 * 4, and the 7 is above --X 6
+            ('[{"x": [1, 5], "y": [2, 3]}, {"x": [1, 7], "y": [3, 3]}]',
+             "X=6 is below the largest witness entry"),
+        ],
+        ids=["bad-json-after-good", "bad-entry-after-good", "object", "trailing-garbage",
+             "cancelled-pair-above-X"],
+    )
+    def test_malformed_input_writes_nothing(self, capsys, monkeypatch, tmp_path, text, err):
+        path, out = tmp_path / "w.json", tmp_path / "r.json"
+        path.write_text(text)
+        force_pool(monkeypatch, pairs_per_chunk=1)
+        cmd = ("lemma-check", "--shift", "rational:1", "--X", "6", "--in", str(path))
+        assert run(capsys, *cmd) == (1, "", f"error: {err}\n")
+        assert run(capsys, *cmd, "--out", str(out)) == (1, "", f"error: {err}\n")
+        assert not out.exists()
+
+    def test_no_worker_outlives_the_command(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "w.json"
+        assert main(["witness", "--k", "2", "--X", "12", "--shift", "rational:1/2",
+                     "--out", str(path)]) == 0
+        calls = force_pool(monkeypatch)
+        cmd = ["lemma-check", "--shift", "rational:1/2", "--in", str(path)]
+        assert main(cmd) == 0
+        assert multiprocessing.active_children() == []
+
+        def fails_on_one_pair(pair, m, X):
+            if pair.x == (1, 7):
+                raise RuntimeError("no report for this pair")
+            return verify_witness(pair, m, X)
+
+        monkeypatch.setattr("shiftprod.cli.verify_witness", fails_on_one_pair)
+        with pytest.raises(RuntimeError, match="no report for this pair"):
+            main(cmd)
+        assert multiprocessing.active_children() == []
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", " [ ] \n", '[{"x": [2, 1], "y": [3, 1]} , {"x": [], "y": []}]\n', "[", "[,]", "[1]",
+     '[{"x": [1], "y": [2]},]', '[{"x": [1], "y": [2]}] x', '[{"x": [1], "y": [2]}', "\ufeff[]",
+     '"[]"', "NaN", '[{"x": [1], "y": [2]}, {"y": [2]}]', '[{"x": [true], "y": [2]}]',
+     '[{"x": [1], "y": [2]} {"x": [1], "y": [2]}]', '[{"x": [1], "y": [2, 3]}]', ""],
+)
+def test_loader_meets_the_whole_text_parse(tmp_path, text):
+    # each array element is decoded on its own; any fault is named by json.loads
+    path = tmp_path / "w.json"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome(load, arg):
+        try:
+            return load(arg)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(_load_witnesses, str(path)) == outcome(cli._parse_witnesses, text)
+
+
+def test_setup_imports_neither_multiprocessing_nor_numpy():
+    # what the benchmark's setup_s times: a fresh interpreter, the CLI's import
+    # and a shift's parse; the pool's and the array backend's imports stay out
+    src = os.path.dirname(os.path.dirname(shiftprod.__file__))
+    code = (
+        "import sys, shiftprod.cli\n"
+        "from shiftprod.shifts import parse_shift\n"
+        "parse_shift('minpoly:-2,0,1')\n"
+        "print(sorted({'multiprocessing', 'numpy'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_error_entries_equal_json_dumps(capsys, tmp_path):
