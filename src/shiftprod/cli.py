@@ -22,6 +22,7 @@ diagonal input where a witness was required).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
@@ -196,10 +197,15 @@ def _json_record(fields: list[str]) -> str:
 
 
 def _json_list_text(records: Iterable[str]) -> Iterator[str]:
-    """The list of rendered records, as `_json_record` renders them, a record at a time."""
+    """The list of rendered records, framed as `_json_records` frames its own.
+
+    A record and the text before it are yielded apart, so a long record,
+    such as a chunk of lemma-check's records, is never copied.
+    """
     opening = "[\n"
     for record in records:
-        yield opening + record
+        yield opening
+        yield record
         opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"
 
@@ -219,12 +225,13 @@ def _json_records(records: Iterable[dict | list[str]]) -> Iterator[str]:
     It yields the text one record at a time, so the records may come from a
     generator and neither they nor the text are ever held whole.
     """
-    def render(record) -> str:
+    opening = "[\n"
+    for record in records:
         if isinstance(record, dict):
             record = [_json_string(key) + ": " + _json_field(v) for key, v in record.items()]
-        return _json_record(record)
-
-    return _json_list_text(map(render, records))
+        yield opening + _json_record(record)
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
 def _emit_rows(args, rows: Sequence[dict], trailer: Sequence[str] = ()) -> None:
@@ -408,8 +415,9 @@ def _checked_chunks(pairs: list[Sides], m, x_cap: int):
 
     With two or more chunks and two or more usable CPUs, the chunks run in a
     pool of forked workers, one per CPU up to one per chunk; otherwise they
-    run in this process.  The pool is closed and joined on leaving the
-    block, or terminated and joined if the block raises.
+    run in this process.  A worker that dies, killed or by `os._exit`, fails
+    the iterator with `BrokenProcessPool`.  On leaving the block the pool
+    cancels the chunks not yet started and joins its workers.
     """
     size = min(_CHUNK_PAIRS, max(_MIN_CHUNK_PAIRS, len(pairs) // 16))
     starts = range(0, len(pairs), size)
@@ -422,17 +430,29 @@ def _checked_chunks(pairs: list[Sides], m, x_cap: int):
         yield map(check, chunks)
         return
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    pool = multiprocessing.get_context("fork").Pool(workers)
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
-        yield pool.imap(check, chunks)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+        # one chunk waits queued, so a worker that finishes starts the next at once
+        yield _in_order(pool, check, chunks, workers + 1)
     finally:
-        pool.join()
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_order(pool, fn, items: Iterable, ahead: int) -> Iterator:
+    """`fn(item)` for each item, run by the pool and yielded in order.
+
+    At most `ahead` items are submitted and not yet yielded, so at most
+    `ahead` results, each a chunk's text, are held at once.
+    """
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _cmd_lemma_check(args) -> int:

@@ -82,15 +82,18 @@ DEFAULT_MEMORY_BUDGET_MB = 2048
 # and weights.  A dict of S slots keeps 4 B of index per slot and a 24 B
 # entry for two thirds of them, 20 B per slot; it doubles its slots as it
 # fills, and while it moves holds both tables, 30 B per slot of the larger.
-# Each entry adds its key, an int of up to 40 B, and from k = 6 on its weight
-# too, an int of 28 B once a weight can pass 256 (k! = 720), the largest int
-# CPython keeps cached.  Per multiset, the peak swings with where the cell's
-# key count falls between two doublings: 66.5 B at k=3, X=100 (171,700
-# multisets) and 124.4 B at X=101 (176,851, just past one), where the model
-# gives 85.8 and 128.9; 153.2 B at k=6, X=20 transcendental against 156.8.
-# No one figure per multiset fits both.
+# Each entry adds its key, an int of 24 B and 4 B per 30 bits of the
+# keyer's bound on a key, 8 B more for the walk's passing ints (3.5 B per key
+# measured at k=3, X=101), and from k = 6 on its weight too, an int of 28 B
+# once a weight can pass 256 (k! = 720), the largest int CPython keeps
+# cached.  Per multiset, the peak swings with where the cell's key count
+# falls between two doublings: 66.5 B at k=3, X=100 (171,700 multisets) and
+# 124.4 B at X=101 (176,851, just past one), where the model gives 85.8 and
+# 128.9; 153.2 B at k=6, X=20 transcendental (114-bit keys) against 164.8;
+# 124.3 B at k=4, X=26, rational:1/10^9 (139-bit keys) against 134.8.  No
+# one figure per multiset fits them all.
 _DICT_BYTES_PER_SLOT = 30
-_BYTES_PER_TABLE_ENTRY = 40
+_BYTES_PER_KEY_SLACK = 8
 _BYTES_PER_LARGE_WEIGHT = 28
 # The array backend pays for importing numpy (0.13-0.17 s) only on cells at
 # least this big.
@@ -159,7 +162,7 @@ class _PolyKeyer:
     E_j = p^j * q^(k-j) and the key is prod(q*x_i + p), its canonical form.
     """
 
-    __slots__ = ("rows_weight", "scale", "bounds", "strides", "dims", "fits_int64")
+    __slots__ = ("rows_weight", "scale", "bounds", "strides", "dims", "key_bits", "fits_int64")
 
     def __init__(self, k: int, X: int, rows: Sequence[Sequence[Coeff]], dims: int):
         self.dims = dims
@@ -181,6 +184,7 @@ class _PolyKeyer:
         # key encodes a non-negative coefficient vector at most that of a
         # product of k factors (t + X), so its magnitude is at most (box - 1)/2.
         box = strides[-1] * (2 * bounds[-1] + 1)
+        self.key_bits = ((box - 1) // 2).bit_length()
         self.fits_int64 = (box - 1) // 2 < _INT64_LIMIT
         self.rows_weight = tuple(
             sum(srows[j][i] * strides[i] for i in range(dims)) for j in range(k + 1)
@@ -653,11 +657,12 @@ def _array_bytes(k: int, X: int) -> int:
     )
 
 
-def _dict_bytes(k: int, entries: int) -> int:
+def _dict_bytes(k: int, entries: int, key_bits: int) -> int:
     """The dict backend's peak memory on a table of at most `entries` keys, by the model above."""
     slots = 1 << (3 * entries // 2).bit_length()  # a dict fills two thirds of its slots
-    per_entry = _BYTES_PER_TABLE_ENTRY + (_BYTES_PER_LARGE_WEIGHT if factorial(k) > 256 else 0)
-    return _DICT_BYTES_PER_SLOT * slots + entries * per_entry
+    key = 24 + 4 * max(1, -(-key_bits // 30)) + _BYTES_PER_KEY_SLACK
+    weight = _BYTES_PER_LARGE_WEIGHT if factorial(k) > 256 else 0
+    return _DICT_BYTES_PER_SLOT * slots + entries * (key + weight)
 
 
 def _check_budget(needed: int, memory_budget_mb: int, what: str) -> None:
@@ -705,7 +710,7 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
     entries = comb(X + k - 1, k)
-    needed = _dict_bytes(k, entries) if np is None else _array_bytes(k, X)
+    needed = _dict_bytes(k, entries, keyer.key_bits) if np is None else _array_bytes(k, X)
     _check_budget(needed, memory_budget_mb, f"k={k}, X={X} needs ~{entries} table entries")
     return keyer, np
 

@@ -409,7 +409,7 @@ def test_without_numpy_falls_back_to_dict(array_runs, monkeypatch):
 
 
 def test_capacity_guard_per_backend(monkeypatch):
-    # 10.7M multisets: about 0.13 GiB on the array backend, 1.2 GiB on the dict's
+    # 10.7M multisets: about 0.13 GiB on the array backend, 0.87 GiB on the dict's
     report = count_mean_value(3, 400, SQRT2, memory_budget_mb=512)
     assert report.nondiagonal == 6246
     monkeypatch.setitem(sys.modules, "numpy", None)
@@ -465,6 +465,7 @@ def test_wide_table_peak_within_guard():
         (3, 100, "minpoly:-2,0,1", False),  # 171,700 keys, short of a doubling
         (3, 101, "minpoly:-2,0,1", True),  # 176,851 keys, just past one
         (6, 20, "transcendental", True),  # just past one, and weights past 256
+        (4, 26, "rational:1/1000000000", True),  # just past one, 139-bit keys
     ],
 )
 def test_dict_table_peak_within_guard(k, X, text, tight):
@@ -484,7 +485,8 @@ def test_dict_table_peak_within_guard(k, X, text, tight):
         print(tracemalloc.get_traced_memory()[1], *needed)
     """
     peak, needed = map(int, run_fresh(code).split())
-    assert needed == counting._dict_bytes(k, comb(X + k - 1, k))
+    key_bits = counting._keyer_for(k, X, shiftprod.parse_shift(text)).key_bits
+    assert needed == counting._dict_bytes(k, comb(X + k - 1, k), key_bits)
     assert peak <= needed, (peak, needed)
     if tight:
         assert peak >= 0.9 * needed, (peak, needed)

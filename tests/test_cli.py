@@ -5,11 +5,12 @@ import dataclasses
 import io
 import json
 import multiprocessing
-import multiprocessing.pool
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 from math import gcd
 
@@ -450,15 +451,15 @@ def test_lemma_check_accepts_every_witness(k, X, shift):
 def force_pool(monkeypatch, pairs_per_chunk=2):
     """Send lemma-check's chunks of `pairs_per_chunk` pairs to a pool of two forked workers.
 
-    Returns the list the pool's `imap` appends to on each call, so a test
-    can tell that the pool ran.
+    Returns the list of pools handed chunks, one entry per command run, so a
+    test can tell that the pool ran.
     """
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", pairs_per_chunk)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     calls = []
-    imap = multiprocessing.pool.Pool.imap
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap",
-                        lambda pool, *args: calls.append(pool) or imap(pool, *args))
+    in_order = cli._in_order
+    monkeypatch.setattr(cli, "_in_order",
+                        lambda pool, *args: calls.append(pool) or in_order(pool, *args))
     return calls
 
 
@@ -579,6 +580,32 @@ class TestLemmaCheckPool:
         assert multiprocessing.active_children() == []
         assert len(calls) == 2
 
+    def test_a_dying_worker_fails_the_command(self, tmp_path):
+        # a worker that ends without raising, as when the OOM killer picks it,
+        # must fail the command rather than leave it waiting for its chunk
+        path = tmp_path / "w.json"
+        assert main(["witness", "--k", "2", "--X", "12", "--shift", "rational:1/2",
+                     "--out", str(path)]) == 0
+        code, _, err = fresh_python(f"""
+            import multiprocessing, os, sys
+            from shiftprod import cli, verify_witness
+            cli._CHUNK_PAIRS = 2
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+
+            def dies_on_one_pair(pair, m, X):
+                if pair.x == (1, 7):
+                    os._exit(9)
+                return verify_witness(pair, m, X)
+
+            cli.verify_witness = dies_on_one_pair
+            try:
+                cli.main(["lemma-check", "--shift", "rational:1/2", "--in", {str(path)!r}])
+            finally:
+                print("children:", multiprocessing.active_children(), file=sys.stderr)
+        """)
+        assert code == 1, err
+        assert "children: []\n" in err and "BrokenProcessPool" in err, err
+
 
 @pytest.mark.parametrize(
     "text",
@@ -601,20 +628,36 @@ def test_loader_meets_the_whole_text_parse(tmp_path, text):
     assert outcome(_load_witnesses, str(path)) == outcome(cli._parse_witnesses, text)
 
 
+def fresh_python(code: str) -> tuple[int, str, str]:
+    """The (exit code, stdout, stderr) of `code` run in a new interpreter on this tree.
+
+    The interpreter runs in a session of its own.  If it has not ended
+    within 60 s, the whole session, forked workers too, is killed and the
+    test fails.
+    """
+    src = os.path.dirname(os.path.dirname(shiftprod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-c", textwrap.dedent(code)], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return proc.returncode, out, err
+
+
 def test_setup_imports_neither_multiprocessing_nor_numpy():
     # what the benchmark's setup_s times: a fresh interpreter, the CLI's import
     # and a shift's parse; the pool's and the array backend's imports stay out
-    src = os.path.dirname(os.path.dirname(shiftprod.__file__))
-    code = (
-        "import sys, shiftprod.cli\n"
-        "from shiftprod.shifts import parse_shift\n"
-        "parse_shift('minpoly:-2,0,1')\n"
-        "print(sorted({'multiprocessing', 'numpy'} & set(sys.modules)))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    code, out, err = fresh_python("""
+        import sys, shiftprod.cli
+        from shiftprod.shifts import parse_shift
+        parse_shift('minpoly:-2,0,1')
+        print(sorted({'multiprocessing', 'numpy'} & set(sys.modules)))
+    """)
+    assert (code, out) == (0, "[]\n"), err
 
 
 def test_error_entries_equal_json_dumps(capsys, tmp_path):
