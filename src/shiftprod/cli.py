@@ -312,6 +312,12 @@ _CHUNK_PAIRS = 1024
 _MIN_CHUNK_PAIRS = 256
 
 
+def _witness_sides(entry) -> Sides:
+    """The canonical sides of one witness object, validated by `SolutionPair`."""
+    pair = SolutionPair(tuple(entry["x"]), tuple(entry["y"]))
+    return pair.x, pair.y
+
+
 def _parse_witnesses(text: str) -> list[Sides]:
     """The canonical sides of the witnesses in a JSON array, parsed whole by `json.loads`.
 
@@ -324,51 +330,35 @@ def _parse_witnesses(text: str) -> list[Sides]:
     pairs = []
     for entry in data:
         try:
-            pair = SolutionPair(tuple(entry["x"]), tuple(entry["y"]))
+            pairs.append(_witness_sides(entry))
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad witness entry {entry!r}: {exc}") from None
-        pairs.append((pair.x, pair.y))
     return pairs
 
 
 def _decode_witnesses(text: str) -> list[Sides]:
-    """`_parse_witnesses(text)` on well-formed input, one array element at a time.
+    """`_parse_witnesses(text)` on well-formed input, each object made sides as it is parsed.
 
-    Raises on anything that is not an array of valid witnesses, without
-    saying what: the caller reports the error `_parse_witnesses` finds.
+    Every JSON object goes through `_witness_sides`, so only its sides are
+    ever kept.  Raises on anything that is not an array of valid witnesses,
+    without saying what: the caller reports the error `_parse_witnesses`
+    finds.
     """
-    skip = json.decoder.WHITESPACE.match
-    decode = json.JSONDecoder().raw_decode
-    pairs = []
-    at = skip(text).end()
-    if text[at:at + 1] != "[":
-        raise ValueError("not an array")
-    at = skip(text, at + 1).end()
-    if text[at:at + 1] != "]":
-        while True:
-            entry, at = decode(text, at)
-            pair = SolutionPair(tuple(entry["x"]), tuple(entry["y"]))
-            pairs.append((pair.x, pair.y))
-            at = skip(text, at).end()
-            if text[at:at + 1] != ",":
-                break
-            at = skip(text, at + 1).end()
-        if text[at:at + 1] != "]":
-            raise ValueError("no delimiter")
-    if skip(text, at + 1).end() != len(text):
-        raise ValueError("extra data")
+    pairs = json.loads(text, object_hook=_witness_sides)
+    if not isinstance(pairs, list) or not all(type(pair) is tuple for pair in pairs):
+        raise ValueError("not an array of witnesses")
     return pairs
 
 
 def _load_witnesses(path: Optional[str]) -> list[Sides]:
     """The canonical sides `(x, y)` of each witness in a JSON array file (stdin: None or "-").
 
-    Each entry is validated by the `SolutionPair` constructor, and only its
-    sides are kept.  The text is decoded an element at a time, so the whole
-    array is never held as parsed JSON.  The kept tuples are in no reference
-    cycle, so the cyclic collector pauses while they are built.  On any
-    fault the text is parsed again by `json.loads`, so that the error
-    reported is the one a whole-text parse meets first.
+    Each entry is validated by the `SolutionPair` constructor as it is
+    parsed, and only its sides are kept, so the whole array is never held as
+    parsed JSON.  The kept tuples are in no reference cycle, so the cyclic
+    collector pauses while they are built.  On any fault the text is parsed
+    again by `json.loads`, so that the error reported is the one a
+    whole-text parse meets first.
     """
     if path and path != "-":
         with open(path, "r", encoding="utf-8") as fh:

@@ -7,7 +7,10 @@ number of distinct orderings k!/prod(mult_i!), and accumulating the weights
 in a frequency table keyed by the canonical form of the product; then
 M = sum of squared frequencies.  The diagonal count T (pairs where y is a
 permutation of x) comes from an independent closed-form partition sum, so
-M and T cross-check each other and M - T is the non-diagonal count.
+M and T cross-check each other and M - T is the non-diagonal count.  One
+product's count r(nu) needs no table: `representation_count` runs the norm
+identity prod m(-x_i) = prod m(-y_i) backwards, keeping the values whose
+factor divides a target read off nu and walking their k-tuples.
 
 Performance notes.  Canonical coordinates of the product are linear in the
 coefficient vector of prod(t + x_i).  One encoder, `_PolyKeyer`, folds them
@@ -42,12 +45,11 @@ give equal words, so a word of one row is exact; the rows of a tied word
 are re-keyed exactly from their multisets and split by key.  The witness
 search pairs up the members of those groups, one pair at a time as its
 caller reads them, and the table of such a cell is read off them too: every
-row is one product but for the groups.  Its lookup enumerates the cell once
-more on its first call, to index the sorted words by row.  Every other cell
-takes the dict backend: one dict update per multiset in arbitrary-precision
-integers.  It is the reference the tests compare the array backend against.
-The memory budget is checked before each large allocation: the table, the
-colliding multisets' tuples and the lookup index.
+row is one product but for the groups.  Every other cell takes the dict
+backend: one dict update per multiset in arbitrary-precision integers.  It
+is the reference the tests compare the array backend against.  The memory
+budget is checked before each large allocation: the table and the colliding
+multisets' tuples.
 
 Both backends enumerate with one walker, `_walk`, which visits every
 non-decreasing prefix of a given length once with the keys K_i of its
@@ -67,14 +69,15 @@ import dataclasses
 import gc
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, factorial, lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .polynomials import Coeff, MinimalPolynomial, Poly, reduce_mod_minpoly
+from .polynomials import Coeff, MinimalPolynomial, Poly, norm_factor, reduce_mod_minpoly
 from .shifts import Algebraic, CanonicalProduct, Rational, Shift, Transcendental
-from .shifts import format_shift, minimal_polynomial_for
+from .shifts import format_shift, minimal_polynomial_for, shifted_product
 
 DEFAULT_MAX_K = 6
 DEFAULT_MEMORY_BUDGET_MB = 2048
@@ -122,9 +125,6 @@ _ARRAY_BYTES_PER_PAIR = 40
 # X=1000 and 194 at k=6, X=16 on the array backend.  Its pairs are yielded
 # one at a time and never held together, so they are not counted.
 _BYTES_PER_COLLIDING_MULTISET = 240
-# A wide table's lookup index holds the sorted words and the row of each,
-# built on the first lookup: 16.1-17.7 B per multiset past the pair table.
-_INDEX_BYTES_PER_MULTISET = 18
 # Values per chunk of the passes over a cell's sorted words and of the tie
 # search's pick of rows, so that their temporaries stay near 1 MiB
 _CHUNK = 1 << 16
@@ -138,7 +138,7 @@ COUNT_CSV_HEADER = "k,X,shift,M,T,nondiag,distinct_nu,elapsed_ms"
 
 
 class CapacityError(RuntimeError):
-    """A cell's table, colliding multisets or lookup index would exceed the memory budget."""
+    """A cell's table or colliding multisets would exceed the memory budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +162,11 @@ class _PolyKeyer:
     E_j = p^j * q^(k-j) and the key is prod(q*x_i + p), its canonical form.
     """
 
-    __slots__ = ("rows_weight", "scale", "bounds", "strides", "dims", "key_bits", "fits_int64")
+    __slots__ = ("rows_weight", "bounds", "strides", "key_bits", "fits_int64")
 
     def __init__(self, k: int, X: int, rows: Sequence[Sequence[Coeff]], dims: int):
-        self.dims = dims
         scale = lcm(*(f.denominator for row in rows for f in row))
         srows = [tuple(int(f * scale) for f in row) for row in rows]
-        self.scale = scale
         # |c_j| = sigma_{k-j} <= C(k, k-j) X^(k-j) for tuples from [1, X]
         sig_bound = [comb(k, k - j) * X ** (k - j) for j in range(k + 1)]
         bounds = [
@@ -189,24 +187,6 @@ class _PolyKeyer:
         self.rows_weight = tuple(
             sum(srows[j][i] * strides[i] for i in range(dims)) for j in range(k + 1)
         )
-
-    def encode(self, nu: CanonicalProduct) -> Optional[int]:
-        """Table key of a public canonical form, or None if unrepresentable."""
-        if isinstance(nu.coords, int):
-            # a rational's coordinate prod(q*x_i + p) is its key already
-            if self.dims != 1 or abs(nu.coords) > self.bounds[0]:
-                return None
-            return nu.coords
-        if len(nu.coords) != self.dims:
-            return None
-        key = 0
-        for coord, bound, stride in zip(nu.coords, self.bounds, self.strides):
-            scaled = coord * self.scale
-            v = int(scaled)
-            if v != scaled or abs(v) > bound:
-                return None
-            key += v * stride
-        return key
 
 
 def _keyer_for(k: int, X: int, shift: Shift) -> _PolyKeyer:
@@ -280,7 +260,7 @@ def _walk_below(
 
 
 def _dict_table(keyer, k: int, X: int):
-    """Distinct products, sum W, sum W^2 and a lookup of the ordered weights W.
+    """Distinct products, sum W and sum W^2 of the ordered weights W.
 
     The dict backend's table maps each canonical product's key to W.
     """
@@ -299,7 +279,7 @@ def _dict_table(keyer, k: int, X: int):
 
     _walk(keyer, X, k - 1, weigh)
     squares = sum(w * w for w in table.values())
-    return len(table), sum(table.values()), squares, lambda key: get(key, 0)
+    return len(table), sum(table.values()), squares
 
 
 def _dict_groups(keyer, k: int, X: int, memory_budget_mb: int) -> list[list[tuple]]:
@@ -528,43 +508,8 @@ def _shared_products(
     return [group for group in by_key.values() if len(group) > 1]
 
 
-def _wide_index(np, keyer, k: int, X: int):
-    """The cell's words in sorted order, the row of each, and the rows' multisets."""
-    words, weights, members = _enumerate_rows(np, keyer, k, X)
-    del weights
-    rows = words.argsort()
-    words.sort()
-    return words, rows, members
-
-
-def _wide_lookup(np, keyer, k: int, X: int, memory_budget_mb: int) -> Callable[[int], int]:
-    """A lookup of W by key for keys beyond int64, indexed on its first call.
-
-    The first call enumerates the cell again and sorts its words with their
-    rows, once the budget has room for them; every call then finds its key's
-    word by bisection and re-keys that word's multisets.  A table nobody
-    looks up never builds the index.
-    """
-    kfact = factorial(k)
-    index: list = []
-
-    def lookup(key: int) -> int:
-        if not index:
-            _check_budget(
-                _pair_table_bytes(X) + comb(X + k - 1, k) * _INDEX_BYTES_PER_MULTISET,
-                memory_budget_mb, f"k={k}, X={X} needs a lookup index",
-            )
-            index.append(_wide_index(np, keyer, k, X))
-        words, rows, members = index[0]
-        word = _word(key)
-        i, j = words.searchsorted(word), words.searchsorted(word, side="right")
-        return sum(_orderings(kfact, m) for m in members(rows[i:j]) if _rekey(keyer, m) == key)
-
-    return lookup
-
-
 def _array_table(np, keyer, k: int, X: int, memory_budget_mb: int):
-    """Distinct products, sum W, sum W^2 and a lookup, from one in-place sort of the words.
+    """Distinct products, sum W and sum W^2, from one in-place sort of the words.
 
     A row weighs k! unless its multiset repeats a value, a share of about
     k(k-1)/X of the rows, so the rows' sum of weights and sum of squared
@@ -599,7 +544,7 @@ def _array_table(np, keyer, k: int, X: int, memory_budget_mb: int):
             ws = [_orderings(kfact, multiset) for multiset in group]
             squares += sum(ws) ** 2 - sum(w * w for w in ws)
         distinct = n - sum(len(group) - 1 for group in groups)
-        return distinct, total, squares, _wide_lookup(np, keyer, k, X, memory_budget_mb)
+        return distinct, total, squares
     short_words = words[short]
     del short
     shortfall = kfact - short_weights  # in the weights' small dtype
@@ -621,20 +566,105 @@ def _array_table(np, keyer, k: int, X: int, memory_budget_mb: int):
             run = chunk[starts].searchsorted(short_words[a:b][at])
             W[run] -= np.add.reduceat(shortfall[a:b], at, dtype=np.int64)
         mean_value += _sum_of_squares(W)
-
-    def lookup(key: int) -> int:
-        L = int(words.searchsorted(key, side="right") - words.searchsorted(key))
-        a = short_words.searchsorted(key)
-        b = short_words.searchsorted(key, side="right")
-        return kfact * L - int(shortfall[a:b].sum())
-
-    return distinct, total, mean_value, lookup
+    return distinct, total, mean_value
 
 
 def _array_groups(np, keyer, k: int, X: int, memory_budget_mb: int) -> list[list[tuple]]:
     """The multisets of every key that two or more multisets share, a list per key."""
     bitmap = _tie_bitmap(np, _enumerate_rows(np, keyer, k, X)[0])
     return _shared_products(np, keyer, k, X, bitmap, memory_budget_mb)
+
+
+# ---------------------------------------------------------------------------
+# representation counts without a table
+# ---------------------------------------------------------------------------
+
+
+def _norm(nu: Poly, m: MinimalPolynomial) -> Fraction:
+    """N(nu), the determinant of multiplication by nu in Q[t]/(m).
+
+    Row j holds the coordinates of nu * t^j reduced modulo m; elimination
+    over the rationals takes the determinant exactly.
+    """
+    d = m.degree
+    rows = [list(reduce_mod_minpoly(nu * Poly([0] * j + [1]), m)) for j in range(d)]
+    det = Fraction(1)
+    for i in range(d):
+        pivot = next((r for r in range(i, d) if rows[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        det *= rows[i][i]
+        for r in range(i + 1, d):
+            f = Fraction(rows[r][i]) / rows[i][i]
+            for c in range(i, d):
+                rows[r][c] -= f * rows[i][c]
+    return det
+
+
+def _representations(nu: CanonicalProduct, k: int, X: int, shift: Shift) -> int:
+    """Number of ordered k-tuples in [1, X]^k whose product is nu, found without a table.
+
+    The norm identity run backwards: the factors of a representation's
+    values multiply to a target read off nu alone.  For a rational p/q the
+    target is nu and the factor of x is q*x + p.  For an algebraic shift
+    whose minimal polynomial m has degree d and leading coefficient a, norms
+    give prod m(-x_i) = ((-1)^d a)^k N(nu), the target, and the factor of x
+    is m(-x).  For a transcendental shift each -x_i is a root of the
+    product polynomial prod(t + x_i), whose constant term, the product of
+    the x_i, is the target; the factor of x is x.  The values of [1, X]
+    whose factor divides the target are kept, and `_divisor_walk` confirms
+    each of their non-decreasing k-tuples whose factors multiply to it.  A
+    rational nu = 0 is counted as the tuples with a vanishing factor.
+    """
+    if nu.shift != shift:
+        raise ValueError("canonical product belongs to a different shift")
+    coords = nu.coords
+    if isinstance(coords, int) != isinstance(shift, Rational):
+        return 0  # not the canonical form of any product of this shift
+    if isinstance(shift, Rational):
+        if coords == 0:
+            return X**k - (X - 1) ** k if shift.q == 1 and 1 <= -shift.p <= X else 0
+        target = coords
+        factors = ((x, shift.q * x + shift.p) for x in range(1, X + 1))
+    elif isinstance(shift, Transcendental):
+        if len(coords) != k:
+            return 0
+        product = Poly(reversed((1,) + coords))
+        target = coords[-1]
+        factors = ((x, x) for x in range(1, X + 1) if product.evaluate(-x) == 0)
+    else:
+        m = shift.minpoly
+        norm = ((-1) ** m.degree * m.coeffs[-1]) ** k * _norm(Poly(coords), m)
+        if norm == 0 or norm.denominator != 1:
+            return 0
+        target = norm.numerator
+        factors = ((x, norm_factor(x, m)) for x in range(1, X + 1))
+    kept = [(x, f) for x, f in factors if f and target % f == 0]
+    return _divisor_walk(nu, k, kept, 0, target, ())
+
+
+def _divisor_walk(nu, k: int, kept: list, start: int, target: int, prefix: tuple) -> int:
+    """Summed orderings of the k-tuples whose product is nu that extend prefix from kept[start] on.
+
+    kept holds (x, factor) in increasing x, and target is what the prefix's
+    factors leave of the search's target; each value's factor must divide
+    it, and a full tuple's must leave 1.  Module-level for the reason
+    `_walk_below` gives.
+    """
+    if len(prefix) == k:
+        if target != 1 or shifted_product(prefix, nu.shift) != nu:
+            return 0
+        return _orderings(factorial(k), prefix)
+    count = 0
+    for i in range(start, len(kept)):
+        x, factor = kept[i]
+        quotient, remainder = divmod(target, factor)
+        if not remainder:
+            count += _divisor_walk(nu, k, kept, i, quotient, prefix + (x,))
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -689,15 +719,14 @@ def _require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_cell(k: int, X: int, shift: Shift, memory_budget_mb: int) -> None:
-    """Raise ValueError or TypeError on an invalid cell or budget."""
+def _check_cell(k: int, X: int, shift: Shift) -> None:
+    """Raise ValueError or TypeError on an invalid cell."""
     _require_int("k", k, 1)
     if k > DEFAULT_MAX_K:
         raise ValueError(f"k={k} exceeds the configured maximum {DEFAULT_MAX_K}")
     _require_int("X", X, 1)
     if not isinstance(shift, (Transcendental, Algebraic, Rational)):
         raise TypeError(f"not a shift: {shift!r}")
-    _require_int("memory budget (MiB)", memory_budget_mb, 1)
 
 
 def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
@@ -706,7 +735,8 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
     Validates the arguments, builds the cell's keyer, picks the backend and
     applies the capacity guard before anything is enumerated.
     """
-    _check_cell(k, X, shift, memory_budget_mb)
+    _check_cell(k, X, shift)
+    _require_int("memory budget (MiB)", memory_budget_mb, 1)
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
     entries = comb(X + k - 1, k)
@@ -720,26 +750,21 @@ class ProductTable:
     """Frequency table of canonical products over [1, X]^k for one shift.
 
     Values are ordered-tuple multiplicities W.  The build sums them as it
-    goes: their number is `distinct_products`, their sum is X^k and the sum
-    of their squares is the mean value M.  `ordered_count` reads one W
-    through the backend's lookup of a key.
+    goes and keeps only the sums: their number is `distinct_products`, their
+    sum is X^k and the sum of their squares is the mean value M.
+    `ordered_count` finds one W by `representation_count`'s search.
     """
 
     k: int
     X: int
     shift: Shift
-    _keyer: object
     distinct_products: int
     _total: int
     _mean_value: int
-    _lookup: Callable[[int], int]
 
     def ordered_count(self, nu: CanonicalProduct) -> int:
         """Number of ordered k-tuples in [1, X]^k whose product has canonical form nu."""
-        if nu.shift != self.shift:
-            raise ValueError("canonical product belongs to a different shift")
-        key = self._keyer.encode(nu)
-        return 0 if key is None else self._lookup(key)
+        return _representations(nu, self.k, self.X, self.shift)
 
     def mean_value(self) -> int:
         return self._mean_value
@@ -761,7 +786,7 @@ def build_product_table(
         sums = _dict_table(keyer, k, X)
     else:
         sums = _array_table(np, keyer, k, X, memory_budget_mb)
-    table = ProductTable(k, X, shift, keyer, *sums)
+    table = ProductTable(k, X, shift, *sums)
     if table.total_ordered_tuples() != X**k:
         raise RuntimeError(
             "ordering-weight bookkeeping lost tuples; this is an engine bug"
@@ -835,22 +860,16 @@ def count_mean_value(
     return report
 
 
-def representation_count(
-    nu: CanonicalProduct,
-    k: int,
-    X: int,
-    shift: Shift,
-    *,
-    memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
-) -> int:
+def representation_count(nu: CanonicalProduct, k: int, X: int, shift: Shift) -> int:
     """Number of ordered k-tuples d in [1, X]^k with prod(d_i + theta) = nu.
 
-    Builds the frequency table the mean value is computed from and reads nu
-    off it.  For repeated queries on one cell, build the table once with
-    `build_product_table(k, X, shift)` and call its `ordered_count(nu)`.
+    Builds no table and enumerates no cell: the search runs the norm
+    identity backwards from nu (`_representations`), at the cost of one
+    factor per value of [1, X] and a walk over the few values whose factor
+    divides nu's target, so X may lie far beyond any table.
     """
-    table = build_product_table(k, X, shift, memory_budget_mb=memory_budget_mb)
-    return table.ordered_count(nu)
+    _check_cell(k, X, shift)
+    return _representations(nu, k, X, shift)
 
 
 def _partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -987,7 +1006,8 @@ def find_nondiagonal_witnesses(
     if limit is not None:
         _require_int("limit", limit, 0)
     if isinstance(shift, Transcendental):
-        _check_cell(k, X, shift, memory_budget_mb)
+        _check_cell(k, X, shift)
+        _require_int("memory budget (MiB)", memory_budget_mb, 1)
         return iter(())
     keyer, np = _settle(k, X, shift, memory_budget_mb)
     # The colliding multisets are new objects, millions on a rational cell,

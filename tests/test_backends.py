@@ -7,7 +7,6 @@ cell with k >= 2; a spy on its enumeration shows whether it ran.
 
 import dataclasses
 import gc
-import itertools
 import os
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from math import comb
 
 import pytest
 
+import oracles
 import shiftprod
 from shiftprod import (
     Algebraic,
@@ -180,23 +180,11 @@ def test_int64_edge_rational(array_runs):
     assert_backends_agree(array_runs, [(2, 3, TINY), (2, 4, TINY)])
 
 
-def lookups(k, X, shift):
-    """Canonical products to look up: present ones and absent ones in the key box."""
-    tuples = itertools.combinations_with_replacement(range(1, X + 3), k)
-    step = max(1, (X + 2) ** k // 8000)
-    return [shifted_product(m, shift) for m in itertools.islice(tuples, 0, None, step)]
-
-
 def test_wide_keys_grid(array_runs):
     assert [counting._keyer_for(*cell).fits_int64 for cell in WIDE_CELLS] == [
         False, False, True, False,
     ]
-    references = {cell: build_product_table(*cell) for cell in WIDE_CELLS}
     assert_backends_agree(array_runs, WIDE_CELLS)
-    for cell, reference in references.items():
-        table = build_product_table(*cell)
-        for nu in lookups(*cell):
-            assert table.ordered_count(nu) == reference.ordered_count(nu), nu
 
 
 @pytest.mark.parametrize(
@@ -207,10 +195,6 @@ def test_tied_words_split_exactly(array_runs, cell, monkeypatch, chunk):
     bits = 12
     mask = (1 << bits) - 1
     expected = settle(*cell)
-    reference = build_product_table(*cell)
-    counts = {nu: reference.ordered_count(nu) for nu in lookups(*cell)}
-    keys = {nu: reference._keyer.encode(nu) for nu in counts}
-    present = {keys[nu] & mask for nu, count in counts.items() if count}
     array_runs.force()
     array_runs.narrow(bits)
     rekeyed = []
@@ -222,7 +206,7 @@ def test_tied_words_split_exactly(array_runs, cell, monkeypatch, chunk):
 
     monkeypatch.setattr(counting, "_rekey", spy)
     assert settle(*cell) == expected
-    table = build_product_table(*cell)
+    build_product_table(*cell)
     # each of the count, the witnesses and the table enumerates the cell
     # twice, since every narrowed cell has tied words; a transcendental
     # witness search enumerates nothing
@@ -232,13 +216,6 @@ def test_tied_words_split_exactly(array_runs, cell, monkeypatch, chunk):
     for key in rekeyed:
         words.setdefault(key & mask, set()).add(key)
     assert any(len(split) > 1 for split in words.values()), "no tied word split by key"
-    aliased = 0
-    for nu, count in counts.items():
-        assert table.ordered_count(nu) == count, nu
-        key = keys[nu]
-        aliased += count == 0 and key is not None and key & mask in present
-    assert aliased, "no absent product shares a word with a present one"
-    assert array_runs == [cell[:2]] * (passes + 1), "the lookups must build their index once"
 
 
 def test_array_runs_in_process_at_any_worker_count(array_runs, capsys):
@@ -257,6 +234,8 @@ def test_array_runs_in_process_at_any_worker_count(array_runs, capsys):
 
 
 def test_array_table_lookups(array_runs):
+    # the sums match the dict backend's, and each product's count the
+    # oracle's over the cell's 900 ordered tuples
     k, X = 2, 30
     shifts = (SQRT2, HALF, TRANS)
     references = [build_product_table(k, X, shift) for shift in shifts]
@@ -268,12 +247,14 @@ def test_array_table_lookups(array_runs):
         assert table.distinct_products == reference.distinct_products
         assert table.total_ordered_tuples() == X**k
         assert table.mean_value() == reference.mean_value()
+        counts = oracles.representation_counts(k, X, shift)
         for a in range(1, X + 1):
             for b in range(a, X + 2):
                 nu = shifted_product((a, b), shift)
-                assert table.ordered_count(nu) == reference.ordered_count(nu)
-        if shift == HALF:  # a rational key beyond int64 cannot be in the table
+                assert table.ordered_count(nu) == counts[oracles.canonical((a, b), shift)]
+        if shift == HALF:  # a rational product beyond int64 is no product of the cell
             assert table.ordered_count(shifted_product((10**10, 10**10), HALF)) == 0
+        assert array_runs == [], "a lookup enumerated the cell"
 
 
 @pytest.mark.parametrize(
@@ -281,10 +262,11 @@ def test_array_table_lookups(array_runs):
     [shifted_product((1, 10**6), HALF), shifted_product((1, 1, 4), TRANS)],
     ids=["rational-beyond-the-box", "transcendental-k3"],
 )
-def test_product_the_keyer_cannot_encode_counts_zero(array_runs, nu):
-    # prod(2x + 1) over (1, 10**6) is far beyond the bound of an X = 5 table,
-    # and (1, 1, 4) has one coordinate too many for k = 2, though its first
-    # two (sigma_1, sigma_2) = (6, 9) are those of (3, 3)
+def test_product_beyond_the_cell_counts_zero(array_runs, nu):
+    # prod(2x + 1) over (1, 10**6) is far beyond any product of an X = 5
+    # cell, though its factor 3 is that of x = 1, and (1, 1, 4) has one
+    # coordinate too many for k = 2, though its first two
+    # (sigma_1, sigma_2) = (6, 9) are those of (3, 3)
     assert build_product_table(2, 5, nu.shift).ordered_count(nu) == 0
     assert array_runs == []
     array_runs.force()
@@ -292,19 +274,13 @@ def test_product_the_keyer_cannot_encode_counts_zero(array_runs, nu):
     assert array_runs == [(2, 5)]
 
 
-def look_up(k, X, shift):
-    """Build a table and look one product up, which indexes a wide table."""
-    return build_product_table(k, X, shift).ordered_count(shifted_product((1,) * k, shift))
-
-
 def test_wide_tables_freed_without_cyclic_gc(array_runs):
-    # a table beyond int64 keeps its words and rows once a lookup indexed
-    # them; reference counting alone must still free it when a call drops it.
-    # A transcendental witness search enumerates nothing, so the search runs
-    # on a rational cell beyond int64 of about the same size.
+    # reference counting alone must free what a cell beyond int64 allocates
+    # when a call drops it.  A transcendental witness search enumerates
+    # nothing, so the search runs on a rational cell beyond int64 of about
+    # the same size.
     array_runs.force()
-    calls = ((count_mean_value, (4, 45, TRANS)), (find_nondiagonal_witnesses, (3, 100, TINY)),
-             (look_up, (4, 45, TRANS)))
+    calls = ((count_mean_value, (4, 45, TRANS)), (find_nondiagonal_witnesses, (3, 100, TINY)))
     assert not counting._keyer_for(3, 100, TINY).fits_int64
     for settle_cell, cell in calls:
         settle_cell(*cell)  # numpy allocates its caches on first use
@@ -320,32 +296,7 @@ def test_wide_tables_freed_without_cyclic_gc(array_runs):
         tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert array_runs == [(4, 45), (3, 100), (4, 45), (4, 45)] * 2
-
-
-def test_wide_lookups_index_once(array_runs, monkeypatch):
-    # a count never indexes its table; the first lookup enumerates the cell
-    # once more to build the index, and later lookups enumerate nothing
-    indexed = []
-    wide_index = counting._wide_index
-
-    def spy(np_, keyer, k, X):
-        indexed.append((k, X))
-        return wide_index(np_, keyer, k, X)
-
-    monkeypatch.setattr(counting, "_wide_index", spy)
-    cell = (4, 45, TRANS)
-    reference = build_product_table(*cell)
-    array_runs.force()
-    count_mean_value(*cell)
-    table = build_product_table(*cell)
-    assert array_runs == [(4, 45)] * 2 and indexed == []
-    products = lookups(*cell)
-    assert table.ordered_count(products[0]) == reference.ordered_count(products[0])
-    assert array_runs == [(4, 45)] * 3 and indexed == [(4, 45)]
-    for nu in products[1:]:
-        assert table.ordered_count(nu) == reference.ordered_count(nu), nu
-    assert array_runs == [(4, 45)] * 3 and indexed == [(4, 45)]
+    assert array_runs == [(4, 45), (3, 100)] * 2
 
 
 def test_sum_of_squares_overflow_guard():
@@ -523,32 +474,6 @@ def test_witness_search_peak_within_guard(k, X, force):
     peak, needed = guarded_peak(f"collections.deque({search}, 0)", force)
     assert len(needed) == 2  # the table, then the colliding multisets
     assert needed[0] < peak <= needed[1], (peak, needed)
-
-
-def test_wide_lookup_index_peak_within_guard():
-    # 4.4M multisets beyond int64: the index outgrows the table's own guard
-    nu = f'shifted_product((1, 1, 1, 1), parse_shift("{format_shift(TRANS)}"))'
-    lookup = f'counting.build_product_table(4, 100, {nu}.shift).ordered_count({nu})'
-    peak, needed = guarded_peak(lookup, force=False)
-    assert len(needed) == 2  # the table, then its lookup index
-    assert needed[0] < peak <= needed[1], (peak, needed)
-
-
-def test_wide_lookup_index_over_the_budget(array_runs):
-    # 292,825 multisets beyond int64: the table fits 15 MiB and counts there,
-    # but a lookup's index does not fit, and the refused lookup enumerates
-    # nothing
-    cell = (4, 50, TRANS)
-    nu = shifted_product((1, 2, 3, 4), TRANS)
-    expected = build_product_table(*cell).ordered_count(nu)
-    array_runs.force()
-    count_mean_value(*cell, memory_budget_mb=15)
-    table = build_product_table(*cell, memory_budget_mb=15)
-    assert array_runs == [cell[:2]] * 2
-    with pytest.raises(CapacityError, match="k=4, X=50 needs a lookup index"):
-        table.ordered_count(nu)
-    assert array_runs == [cell[:2]] * 2
-    assert build_product_table(*cell, memory_budget_mb=16).ordered_count(nu) == expected == 24
 
 
 @pytest.mark.parametrize("settle_cell", [count_mean_value, find_nondiagonal_witnesses])

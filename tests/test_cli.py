@@ -612,10 +612,15 @@ class TestLemmaCheckPool:
     ["[]", " [ ] \n", '[{"x": [2, 1], "y": [3, 1]} , {"x": [], "y": []}]\n', "[", "[,]", "[1]",
      '[{"x": [1], "y": [2]},]', '[{"x": [1], "y": [2]}] x', '[{"x": [1], "y": [2]}', "\ufeff[]",
      '"[]"', "NaN", '[{"x": [1], "y": [2]}, {"y": [2]}]', '[{"x": [true], "y": [2]}]',
-     '[{"x": [1], "y": [2]} {"x": [1], "y": [2]}]', '[{"x": [1], "y": [2, 3]}]', ""],
+     '[{"x": [1], "y": [2]} {"x": [1], "y": [2]}]', '[{"x": [1], "y": [2, 3]}]', "",
+     # objects that are no array element, and elements that are no object
+     '{"x": [1], "y": [2]}', '[{"x": [{"x": [1], "y": [2]}], "y": [2]}]',
+     '[[{"x": [1], "y": [2]}]]', '[{"x": [1], "y": [2], "z": {"x": [1], "y": [2]}}]',
+     '[{"x": [1], "y": [2], "z": {"w": 1}}]', '[{"x": [1], "y": [2]}, 3]'],
 )
 def test_loader_meets_the_whole_text_parse(tmp_path, text):
-    # each array element is decoded on its own; any fault is named by json.loads
+    # each object is made a witness's sides as it is parsed; any fault is
+    # named by a plain json.loads
     path = tmp_path / "w.json"
     path.write_text(text, encoding="utf-8")
 

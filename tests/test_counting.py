@@ -1,5 +1,6 @@
 """Counting engine: frequency tables, diagonal counts, witnesses, determinism."""
 
+import functools
 import gc
 import json
 import random
@@ -7,6 +8,8 @@ import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from shiftprod import (
@@ -53,12 +56,20 @@ class TestRepresentationCount:
         assert representation_count(nu, 2, 10, HALF) == 4
 
     def test_prebuilt_table_and_mismatch(self):
-        # repeated queries go to a prebuilt table; the one-shot call takes none
+        # a table answers by the same search; the one-shot call takes no
+        # table, and builds none, so it takes no memory budget either
         table = build_product_table(2, 10, SQRT2)
         nu = shifted_product((1, 3), SQRT2)
         assert table.ordered_count(nu) == representation_count(nu, 2, 10, SQRT2) == 2
         with pytest.raises(TypeError, match="table"):
             representation_count(nu, 2, 10, SQRT2, table=table)
+        with pytest.raises(TypeError, match="memory_budget_mb"):
+            representation_count(nu, 2, 10, SQRT2, memory_budget_mb=64)
+        for k, X in ((0, 10), (7, 10), (True, 10), (2, 0)):
+            with pytest.raises(ValueError):
+                representation_count(nu, k, X, SQRT2)
+        with pytest.raises(ValueError, match="different shift"):
+            representation_count(nu, 2, 10, HALF)
         with pytest.raises(ValueError):
             table.ordered_count(shifted_product((1, 3), HALF))
 
@@ -81,6 +92,48 @@ class TestRepresentationCount:
             assert sum(counts) == X**k
             assert sum(c * c for c in counts) == table.mean_value()
             assert len(distinct) == table.distinct_products
+
+
+SEARCH_SHIFTS = [
+    parse_shift(text)
+    for text in ["transcendental", "rational:1/2", "rational:-3", "rational:-7/2",
+                 "rational:1/1000000000"]
+] + [
+    parse_shift(f"minpoly:{coeffs}")
+    for coeffs in ["-2,0,1", "-1,0,2", "1,0,1", "-2,0,3", "-1,-1,0,1", "-2,0,0,1", "2,0,0,0,1"]
+]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_counts(k, X, shift):
+    return oracles.representation_counts(k, X, shift)
+
+
+@pytest.mark.parametrize("shift", SEARCH_SHIFTS, ids=format_shift)
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(k=st.integers(1, 4), X=st.integers(1, 9), data=st.data())
+def test_search_matches_the_oracle(shift, k, X, data):
+    # products of k values, some beyond X, and of k - 1 or k + 1 values; one
+    # no tuple reaches counts 0.  rational:-3 has the zero product.
+    table = build_product_table(k, X, shift)
+    sizes = st.sampled_from([n for n in (k - 1, k, k + 1) if n >= 1])
+    values = sizes.flatmap(lambda n: st.lists(st.integers(1, X + 2), min_size=n, max_size=n))
+    for m in data.draw(st.lists(values, min_size=1, max_size=8)):
+        nu = shifted_product(m, shift)
+        expected = oracle_counts(k, X, shift)[oracles.canonical(m, shift)]
+        assert representation_count(nu, k, X, shift) == expected, m
+        assert table.ordered_count(nu) == expected, m
+
+
+def test_search_reaches_beyond_any_table(monkeypatch):
+    # 4.2e20 multisets at k=6, X=10^4: the search enumerates none of them
+    def never(*args):
+        raise AssertionError("the search enumerated the cell")
+
+    monkeypatch.setattr(counting, "_walk", never)
+    monkeypatch.setattr(counting, "_enumerate_rows", never)
+    nu = shifted_product((48, 60, 36, 24, 30, 40), SQRT2)
+    assert representation_count(nu, 6, 10**4, SQRT2) == 720
 
 
 class TestCountMeanValue:
@@ -399,7 +452,11 @@ KEYED_SHIFTS = [
 
 @pytest.mark.parametrize("shift", KEYED_SHIFTS, ids=format_shift)
 def test_walker_keys_encode_the_products(shift):
-    """Every key the walker yields, one or two coordinates above its prefix."""
+    """Every key the walker yields, one or two coordinates above its prefix.
+
+    Equal keys must mean equal products, so the keys group the multisets
+    as `shifted_product` does, and each is the multiset's exact re-key.
+    """
     for k in range(1, 5):
         X = 7 - k // 2
         keyer = counting._keyer_for(k, X, shift)
@@ -423,5 +480,10 @@ def test_walker_keys_encode_the_products(shift):
             counting._walk(keyer, X, k - 2, last_two)
         for rows in by_depth.values():
             assert len({m for m, _ in rows}) == len(rows) == comb(X + k - 1, k)
+            by_key, by_product = {}, {}
             for m, key in rows:
-                assert key == keyer.encode(shifted_product(m, shift)), (k, m)
+                assert key == counting._rekey(keyer, m), (k, m)
+                by_key.setdefault(key, set()).add(m)
+                by_product.setdefault(shifted_product(m, shift), set()).add(m)
+            groups = sorted(map(sorted, by_key.values()))
+            assert groups == sorted(map(sorted, by_product.values())), k
