@@ -11,8 +11,9 @@ write JSON.  count, scan and contrast hand their rows to one writer, whose
 CSV takes its header from the first row's keys.  Every flat JSON list
 (count, contrast, witness, lemma-check) comes from one fixed-schema writer,
 byte-equal to `json.dumps(indent=2)`: count and contrast rows reach it as
-dicts, witness pairs and lemma-check reports as their fields' text, rendered
-straight from the pair or report.  scan's JSON document, whose rows sit
+dicts, witness pairs and lemma-check reports as their records' text, each
+filled straight from the pair or report into one cached template per record
+shape.  scan's JSON document, whose rows sit
 beside the exponent fit, comes from `json.dumps` itself.  Exit codes: 0
 success / all checks pass, 1 usage or configuration error, 2 capacity
 (memory budget) error, 3 check failure (non-solution, failed identity, or
@@ -164,10 +165,23 @@ def _json_field(value) -> str:
     return _json_scalar(value)
 
 
-def _pair_fields(pair: SolutionPair) -> list[str]:
-    """The rendered fields of `pair.to_json_dict()`."""
-    return ['"x": ' + _json_list(pair.x, int.__repr__),
-            '"y": ' + _json_list(pair.y, int.__repr__)]
+@functools.lru_cache(maxsize=64)  # a few shapes per k, in practice
+def _template(keys: tuple[str, ...], lengths: tuple[Optional[int], ...]) -> str:
+    """The `%` template of one record of `json.dumps(indent=2)`'s list, by its shape.
+
+    A key's length is that of its list field, whose values fill as many
+    slots, or None for a field of one slot.  Every slot is `%s`, filled with
+    an int (whose str is its JSON text) or with a value's JSON text.
+    """
+    return _json_record([
+        _json_string(key) + ": " + ("%s" if n is None else _json_list(("%s",) * n, str))
+        for key, n in zip(keys, lengths)
+    ])
+
+
+def _pair_record(pair: SolutionPair) -> str:
+    """The rendered record of `pair.to_json_dict()`."""
+    return _template(("x", "y"), (len(pair.x), len(pair.y))) % (pair.x + pair.y)
 
 
 def _ratio_text(coeffs: Sequence[int], X: int, n: int) -> str:
@@ -176,18 +190,18 @@ def _ratio_text(coeffs: Sequence[int], X: int, n: int) -> str:
     return f'"{num}"' if den == 1 else f'"{num}/{den}"'
 
 
-def _report_fields(report: WitnessReport) -> list[str]:
-    """The rendered fields of `report.to_json_dict()`."""
-    f, psi, X, k = report.f.coeffs, report.psi.coeffs, report.x_cap, report.k
-    return _pair_fields(report.pair) + [
-        '"F_coeffs": ' + _json_list(f, int.__repr__),
-        '"psi_coeffs": ' + _json_list(psi, int.__repr__),
-        '"rho": ' + _json_list(report.rho, int.__repr__),
-        '"C_a": ' + _ratio_text(f, X, k),
-        '"C_b": ' + _ratio_text(psi, X, k - report.d),
-        '"norm_ok": ' + _json_scalar(report.norm_identity_ok),
-        '"lemma_ok": ' + _json_list(report.lemma_ok, _json_scalar),
-    ]
+_REPORT_KEYS = ("x", "y", "F_coeffs", "psi_coeffs", "rho", "C_a", "C_b", "norm_ok", "lemma_ok")
+
+
+def _report_record(report: WitnessReport) -> str:
+    """The rendered record of `report.to_json_dict()`."""
+    x, y = report.pair.x, report.pair.y
+    f, psi, rho, X, k = report.f.coeffs, report.psi.coeffs, report.rho, report.x_cap, report.k
+    lemma = tuple(map(_json_scalar, report.lemma_ok))
+    shape = (len(x), len(y), len(f), len(psi), len(rho), None, None, None, len(lemma))
+    ratios = (_ratio_text(f, X, k), _ratio_text(psi, X, k - report.d))
+    norm = (_json_scalar(report.norm_identity_ok),)
+    return _template(_REPORT_KEYS, shape) % (x + y + f + psi + rho + ratios + norm + lemma)
 
 
 def _json_record(fields: list[str]) -> str:
@@ -197,7 +211,7 @@ def _json_record(fields: list[str]) -> str:
 
 
 def _json_list_text(records: Iterable[str]) -> Iterator[str]:
-    """The list of rendered records, framed as `_json_records` frames its own.
+    """`json.dumps(indent=2)`'s framing of a list, around records already rendered.
 
     A record and the text before it are yielded apart, so a long record,
     such as a chunk of lemma-check's records, is never copied.
@@ -210,7 +224,7 @@ def _json_list_text(records: Iterable[str]) -> Iterator[str]:
     yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
-def _json_records(records: Iterable[dict | list[str]]) -> Iterator[str]:
+def _json_records(records: Iterable[dict]) -> Iterator[str]:
     """`json.dumps(records, indent=2) + "\n"`, byte for byte, for flat records.
 
     This is the fixed schema of every flat JSON list the CLI writes (count,
@@ -219,19 +233,16 @@ def _json_records(records: Iterable[dict | list[str]]) -> Iterator[str]:
     Strings go through the escaper `json.dumps` uses.  The indenting encoder
     behind `json.dumps(indent=2)` is pure Python and was the slowest step of
     writing a large witness list, so this writer stands in for it and must
-    stay byte-equal to it.  A record is a dict, or the list of its fields
-    already rendered as `"key": value` text, as `_pair_fields` and
-    `_report_fields` render witnesses and reports without building a dict.
-    It yields the text one record at a time, so the records may come from a
-    generator and neither they nor the text are ever held whole.
+    stay byte-equal to it.  Witness pairs and reports skip the dict: each is
+    rendered straight into its shape's template (`_pair_record`,
+    `_report_record`).  It yields the text one record at a time, so the
+    records may come from a generator and neither they nor the text are ever
+    held whole.
     """
-    opening = "[\n"
-    for record in records:
-        if isinstance(record, dict):
-            record = [_json_string(key) + ": " + _json_field(v) for key, v in record.items()]
-        yield opening + _json_record(record)
-        opening = ",\n"
-    yield "[]\n" if opening == "[\n" else "\n]\n"
+    return _json_list_text(
+        _json_record([_json_string(key) + ": " + _json_field(v) for key, v in record.items()])
+        for record in records
+    )
 
 
 def _emit_rows(args, rows: Sequence[dict], trailer: Sequence[str] = ()) -> None:
@@ -295,7 +306,7 @@ def _cmd_witness(args) -> int:
         limit=args.limit,
         memory_budget_mb=args.memory_budget_mb,
     )
-    _emit(_json_records(map(_pair_fields, pairs)), args.out)
+    _emit(_json_list_text(map(_pair_record, pairs)), args.out)
     return EXIT_OK
 
 
@@ -389,13 +400,13 @@ def _check_chunk(chunk: Sequence[Sides], m, x_cap: int) -> tuple[str, list[str],
             report = verify_witness(pair, m, x_cap)
         except (NotASolutionError, PreconditionViolationError) as exc:
             error = str(exc)
-            fields = _pair_fields(pair) + ['"error": ' + _json_string(error)]
+            template = _template(("x", "y", "error"), (len(x), len(y), None))
+            records.append(template % (x + y + (_json_string(error),)))
         else:
             error = None if report.all_ok else "identity check failed"
-            fields = _report_fields(report)
+            records.append(_report_record(report))
         if error is not None:
             errors.append(f"witness x={list(x)} y={list(y)}: {error}\n")
-        records.append(_json_record(fields))
     return ",\n".join(records), errors, len(errors)
 
 

@@ -35,12 +35,15 @@ key itself when the keyer proves that every key and partial key fits in
 int64.  Every result comes from that one array, sorted in place, and from
 the few rows whose multiset repeats a value, the only rows that weigh less
 than k!; no full-cell copy or temporary is built after the enumeration.
-Each run of equal words is one distinct product, whose ordered weight W is
-k! per row less the shortfall of its short rows, and one pass over chunks
-of the sorted words sums M = sum W^2 run by run.  The words two or more rows
-share are the tied words: the witness search drops the sorted words and
-enumerates the cell again to pick out the rows of those words, a chunk at a
-time, unless there are none.  When keys do not fit, equal products still
+Each run of equal words is one distinct product, and the words two or more
+rows share are the tied words, which one pass over chunks of the sorted
+words finds (`_tied_words`).  The sum of the rows' squared weights is the
+diagonal count T, so M = T + sum over tied words of (W^2 - sum w^2), where
+a tied word's ordered weight W is k! per row less the shortfall of its
+short rows: the count reads M and the distinct products off the tied words
+alone.  The witness search drops the sorted words and enumerates the cell
+again to pick out the rows of the tied words, a chunk at a time, unless
+there are none.  When keys do not fit, equal products still
 give equal words, so a word of one row is exact; the rows of a tied word
 are re-keyed exactly from their multisets and split by key.  The witness
 search pairs up the members of those groups, one pair at a time as its
@@ -428,36 +431,37 @@ def _run_starts(np, ordered):
     return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
 
 
-def _runs(np, ordered):
-    """The runs of equal values of a sorted array, a chunk of whole runs at a time.
+def _tied_words(np, words):
+    """The values that two or more of `words` share, and how many share each.
 
-    Yields (chunk, starts, lengths): a slice of the array, where each of its
-    runs starts in it and how long each is.  A chunk ends at the end of the
-    run that holds its _CHUNK-th value, so no run crosses a chunk's edge and
-    the temporaries stay chunk-sized however large the array.
+    Sorts `words` in place, then yields (tied, lengths) a chunk of whole runs
+    at a time, for each chunk with a tie: its tied values in increasing order
+    and the length of each one's run.  A chunk ends at the end of the run
+    that holds its _CHUNK-th value, so no run crosses a chunk's edge, and past
+    one comparison per value the work grows with the ties, not the values.
     """
-    n = len(ordered)
+    words.sort()
+    n = len(words)
     lo = 0
     while lo < n:
-        hi = int(ordered.searchsorted(ordered[min(lo + _CHUNK, n) - 1], side="right"))
-        chunk = ordered[lo:hi]
-        starts = _run_starts(np, chunk)
-        yield chunk, starts, np.diff(starts, append=hi - lo)
+        hi = int(words.searchsorted(words[min(lo + _CHUNK, n) - 1], side="right"))
+        chunk = words[lo:hi]
+        # each row of a run but its first gives the run's value once
+        repeats = chunk[np.flatnonzero(chunk[1:] == chunk[:-1])]
+        if len(repeats):
+            at = _run_starts(np, repeats)
+            yield repeats[at], np.diff(at, append=len(repeats)) + 1
         lo = hi
 
 
 def _tie_bitmap(np, words):
     """A bitmap of the low 20 bits of the values that two or more words share.
 
-    Sorts `words` in place.  None if every value is distinct.  Consecutive
-    windows of _CHUNK + 1 sorted values overlap by one, so each neighbouring
-    pair is compared once.
+    Sorts `words` in place (`_tied_words`).  None if every value is distinct.
     """
-    words.sort()
     bitmap = np.zeros(_LOW_BITS + 1, dtype=bool)
-    for lo in range(0, len(words), _CHUNK):
-        window = words[lo:lo + _CHUNK + 1]
-        bitmap[window[1:][window[1:] == window[:-1]] & _LOW_BITS] = True
+    for tied, _ in _tied_words(np, words):
+        bitmap[tied & _LOW_BITS] = True
     return bitmap if bitmap.any() else None
 
 
@@ -514,13 +518,15 @@ def _array_table(np, keyer, k: int, X: int, memory_budget_mb: int):
     A row weighs k! unless its multiset repeats a value, a share of about
     k(k-1)/X of the rows, so the rows' sum of weights and sum of squared
     weights come from those short rows, and the second must equal the
-    diagonal count T.  When the words are the keys, each run of equal words
-    in sorted order is one distinct product of L rows, and its ordered weight
-    W is k!*L less the summed shortfall of its short rows.  One chunked pass
-    over the sorted words and the sorted short rows builds each chunk's W
-    and sums M = sum W^2 run by run.  When keys do not fit in int64, every row
-    is one product but for the shared products the witness search finds, so
-    M and the distinct products come from the rows' sums and those groups.
+    diagonal count T.  Every row is one product but for the products that
+    rows share, so M = T + sum over shared products of (W^2 - sum w^2), W
+    being the sum of a product's row weights w, and each shared product of
+    L rows takes L - 1 from the distinct count.  When the words are the keys,
+    each tied word of L rows is one such product, whose W is k!*L less the
+    summed shortfall of its short rows, found among the sorted short words;
+    the tie pass's work grows with the ties, not the rows.  When keys do not
+    fit in int64, the shared products are the groups the witness search
+    finds.
     """
     kfact = factorial(k)
     words, weights, members = _enumerate_rows(np, keyer, k, X)
@@ -553,19 +559,21 @@ def _array_table(np, keyer, k: int, X: int, memory_budget_mb: int):
     short_words.sort()  # in place, where a gather through order would copy
     shortfall = shortfall[order]
     del order
-    words.sort()
-    distinct = mean_value = 0
-    for chunk, starts, lengths in _runs(np, words):
-        distinct += len(starts)
+    distinct, mean_value = n, squares
+    for tied, lengths in _tied_words(np, words):
+        rows = int(lengths.sum())
+        distinct -= rows - len(tied)
         W = lengths * kfact
-        a = int(short_words.searchsorted(chunk[0]))
-        b = int(short_words.searchsorted(chunk[-1], side="right"))
-        if a < b:
-            # each short word's summed shortfall, at the run of that word
-            at = _run_starts(np, short_words[a:b])
-            run = chunk[starts].searchsorted(short_words[a:b][at])
-            W[run] -= np.add.reduceat(shortfall[a:b], at, dtype=np.int64)
-        mean_value += _sum_of_squares(W)
+        held = kfact * kfact * rows  # the sum of w^2 over these rows, were all full
+        a = int(short_words.searchsorted(tied[0]))
+        b = int(short_words.searchsorted(tied[-1], side="right"))
+        # the short rows of tied words, each at its word's W
+        at = tied.searchsorted(short_words[a:b])
+        hit = np.flatnonzero(tied[at] == short_words[a:b])
+        s = shortfall[a:b][hit].astype(np.int64)
+        np.subtract.at(W, at[hit], s)
+        held -= int((s * (2 * kfact - s)).sum())  # k!^2 - w^2 for w = k! - s
+        mean_value += _sum_of_squares(W) - held
     return distinct, total, mean_value
 
 

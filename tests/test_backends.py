@@ -218,6 +218,21 @@ def test_tied_words_split_exactly(array_runs, cell, monkeypatch, chunk):
     assert any(len(split) > 1 for split in words.values()), "no tied word split by key"
 
 
+@pytest.mark.parametrize("cell", [(4, 20, SQRT2), (3, 40, HALF)], ids=["sqrt2", "dense-ties"])
+def test_tie_pass_weighs_short_rows(array_runs, cell, chunk):
+    # M = T + the sum over tied words of W^2 - sum w^2, where a tied word's W
+    # is k! per row less the shortfall of its rows that repeat a value, such
+    # as (1, 1, 1, 10), which shares its product with (1, 2, 3, 3) at sqrt 2
+    k = cell[0]
+    assert counting._keyer_for(*cell).fits_int64
+    sides = [side for pair in find_nondiagonal_witnesses(*cell) for side in (pair.x, pair.y)]
+    assert any(len(set(side)) < k for side in sides), "no tied word has a short row"
+    expected = dataclasses.replace(count_mean_value(*cell), elapsed=0.0)
+    array_runs.force()
+    assert dataclasses.replace(count_mean_value(*cell), elapsed=0.0) == expected
+    assert array_runs == [cell[:2]]
+
+
 def test_array_runs_in_process_at_any_worker_count(array_runs, capsys):
     def cli_outputs(*workers):
         cell = ("--k", "3", "--X", "40", "--shift", "minpoly:-2,0,1", *workers)

@@ -33,7 +33,7 @@ from shiftprod import (
 )
 import shiftprod
 from shiftprod import cli
-from shiftprod.cli import _json_records, _load_witnesses, _pair_fields, _report_fields, main
+from shiftprod.cli import _json_records, _load_witnesses, _pair_record, _report_record, main
 
 
 def run(capsys, *args):
@@ -342,13 +342,10 @@ def witness_reports(draw):
     Poly([]), (0, -(2**64) - 5, 3), False, (True, False, True)
 ))
 def test_rendered_witness_records_equal_json_dumps(record):
-    # witness and lemma-check write pre-rendered fields, not to_json_dict
-    if isinstance(record, WitnessReport):
-        fields = _report_fields(record)
-    else:
-        fields = _pair_fields(record)
+    # witness and lemma-check fill a template per record shape, not to_json_dict
+    render = _report_record if isinstance(record, WitnessReport) else _pair_record
     expected = json.dumps([record.to_json_dict()], indent=2) + "\n"
-    assert "".join(_json_records([fields])) == expected
+    assert "".join(cli._json_list_text([render(record)])) == expected
 
 
 @pytest.mark.parametrize("k, X, text", [(2, 40, "rational:1/2"), (3, 30, "minpoly:-2,0,1")])
