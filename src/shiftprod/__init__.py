@@ -7,7 +7,6 @@ that explain why irrational shifts leave almost only diagonal solutions.
 """
 
 from .counting import (
-    COUNT_CSV_HEADER,
     CapacityError,
     CountReport,
     ProductTable,
@@ -62,7 +61,6 @@ __all__ = [
     "CanonicalProduct",
     "CapacityError",
     "CountReport",
-    "COUNT_CSV_HEADER",
     "ExponentFit",
     "InsufficientDataError",
     "MinimalPolynomial",

@@ -5,16 +5,14 @@ engine directly: count, scan and contrast call `count_mean_value` once per
 cell, witness calls `find_nondiagonal_witnesses`, and lemma-check calls
 `verify_witness`, which cancels shared values itself, on chunks of its pairs,
 in a pool of forked workers when there are two chunks and two CPUs or more
-(see `_checked_chunks`).  `--format` (csv or
-json) applies to count, scan and contrast; witness and lemma-check always
-write JSON.  count, scan and contrast hand their rows to one writer, whose
-CSV takes its header from the first row's keys.  Every flat JSON list
-(count, contrast, witness, lemma-check) comes from one fixed-schema writer,
-byte-equal to `json.dumps(indent=2)`: count and contrast rows reach it as
-dicts, witness pairs and lemma-check reports as their records' text, each
-filled straight from the pair or report into one cached template per record
-shape.  scan's JSON document, whose rows sit
-beside the exponent fit, comes from `json.dumps` itself.  Exit codes: 0
+(see `_checked_chunks`).  `--format` (csv or json) applies to count, scan
+and contrast; witness and lemma-check always write JSON.  count, scan and
+contrast hand their rows to one writer, whose CSV takes its header from the
+first row's keys and whose JSON is `json.dumps(rows, indent=2)`; scan's JSON
+document, whose rows sit beside the exponent fit, is `json.dumps` too.
+witness and lemma-check stream their lists, which run to many thousands of
+records: each pair or report is filled straight into one cached template
+per record shape, byte-equal to `json.dumps(indent=2)`.  Exit codes: 0
 success / all checks pass, 1 usage or configuration error, 2 capacity
 (memory budget) error, 3 check failure (non-solution, failed identity, or
 diagonal input where a witness was required).
@@ -140,43 +138,27 @@ def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
 
 
 _json_string = json.encoder.encode_basestring_ascii
-
-
-def _json_scalar(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return _json_string(value)
-
-
-def _json_list(values: Sequence, render) -> str:
-    """A list field's value as `json.dumps(indent=2)` lays it out, each value by `render`."""
-    if not values:
-        return "[]"
-    return "[\n      " + ",\n      ".join(map(render, values)) + "\n    ]"
-
-
-def _json_field(value) -> str:
-    if isinstance(value, list):
-        return _json_list(value, _json_scalar)
-    return _json_scalar(value)
+_JSON_BOOL = ("false", "true")
 
 
 @functools.lru_cache(maxsize=64)  # a few shapes per k, in practice
 def _template(keys: tuple[str, ...], lengths: tuple[Optional[int], ...]) -> str:
     """The `%` template of one record of `json.dumps(indent=2)`'s list, by its shape.
 
-    A key's length is that of its list field, whose values fill as many
-    slots, or None for a field of one slot.  Every slot is `%s`, filled with
-    an int (whose str is its JSON text) or with a value's JSON text.
+    A key's length is that of its list field, which takes as many slots, or
+    None for a field of one slot.  Every slot is `%s`, filled with an int
+    (whose str is its JSON text) or with a value's JSON text.
     """
-    return _json_record([
-        _json_string(key) + ": " + ("%s" if n is None else _json_list(("%s",) * n, str))
+    fields = [
+        _json_string(key) + ": " + ("%s" if n is None else _json_list(n))
         for key, n in zip(keys, lengths)
-    ])
+    ]
+    return "  {\n    " + ",\n    ".join(fields) + "\n  }"
+
+
+def _json_list(n: int) -> str:
+    """A list field of `n` slots in a record, as `json.dumps(indent=2)` lays it out."""
+    return "[\n      " + ",\n      ".join(["%s"] * n) + "\n    ]" if n else "[]"
 
 
 def _pair_record(pair: SolutionPair) -> str:
@@ -197,17 +179,10 @@ def _report_record(report: WitnessReport) -> str:
     """The rendered record of `report.to_json_dict()`."""
     x, y = report.pair.x, report.pair.y
     f, psi, rho, X, k = report.f.coeffs, report.psi.coeffs, report.rho, report.x_cap, report.k
-    lemma = tuple(map(_json_scalar, report.lemma_ok))
-    shape = (len(x), len(y), len(f), len(psi), len(rho), None, None, None, len(lemma))
+    shape = (len(x), len(y), len(f), len(psi), len(rho), None, None, None, len(report.lemma_ok))
     ratios = (_ratio_text(f, X, k), _ratio_text(psi, X, k - report.d))
-    norm = (_json_scalar(report.norm_identity_ok),)
-    return _template(_REPORT_KEYS, shape) % (x + y + f + psi + rho + ratios + norm + lemma)
-
-
-def _json_record(fields: list[str]) -> str:
-    """One record of `json.dumps(indent=2)`'s list, from its rendered fields."""
-    text = ",\n    ".join(fields)
-    return "  {\n    " + text + "\n  }" if text else "  {}"
+    bools = tuple(map(_JSON_BOOL.__getitem__, (report.norm_identity_ok, *report.lemma_ok)))
+    return _template(_REPORT_KEYS, shape) % (x + y + f + psi + rho + ratios + bools)
 
 
 def _json_list_text(records: Iterable[str]) -> Iterator[str]:
@@ -224,35 +199,14 @@ def _json_list_text(records: Iterable[str]) -> Iterator[str]:
     yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
-def _json_records(records: Iterable[dict]) -> Iterator[str]:
-    """`json.dumps(records, indent=2) + "\n"`, byte for byte, for flat records.
-
-    This is the fixed schema of every flat JSON list the CLI writes (count,
-    contrast, witness and lemma-check): a list of dicts with string keys,
-    whose values are ints, bools, strings, or lists of ints and bools.
-    Strings go through the escaper `json.dumps` uses.  The indenting encoder
-    behind `json.dumps(indent=2)` is pure Python and was the slowest step of
-    writing a large witness list, so this writer stands in for it and must
-    stay byte-equal to it.  Witness pairs and reports skip the dict: each is
-    rendered straight into its shape's template (`_pair_record`,
-    `_report_record`).  It yields the text one record at a time, so the
-    records may come from a generator and neither they nor the text are ever
-    held whole.
-    """
-    return _json_list_text(
-        _json_record([_json_string(key) + ": " + _json_field(v) for key, v in record.items()])
-        for record in records
-    )
-
-
 def _emit_rows(args, rows: Sequence[dict], trailer: Sequence[str] = ()) -> None:
     """Write flat rows in `args.format` to `args.out`.
 
     CSV takes its header from the first row's keys and ends with the trailer
-    lines; JSON is the list of rows, through `_json_records`.
+    lines; JSON is `json.dumps` of the list of rows, as scan's document is.
     """
     if args.format == "json":
-        _emit(_json_records(rows), args.out)
+        _emit([json.dumps(rows, indent=2) + "\n"], args.out)
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -387,8 +341,8 @@ def _load_witnesses(path: Optional[str]) -> list[Sides]:
             gc.enable()
 
 
-def _check_chunk(chunk: Sequence[Sides], m, x_cap: int) -> tuple[str, list[str], int]:
-    """Verify and render a chunk of pairs: its records' text, its stderr lines, its failures.
+def _check_chunk(chunk: Sequence[Sides], m, x_cap: int) -> tuple[str, list[str]]:
+    """Verify and render a chunk of pairs: its records' text, and a stderr line per failure.
 
     `verify_witness` is looked up in this module when the chunk runs, so a
     replacement of it reaches forked workers too.
@@ -407,7 +361,7 @@ def _check_chunk(chunk: Sequence[Sides], m, x_cap: int) -> tuple[str, list[str],
             records.append(_report_record(report))
         if error is not None:
             errors.append(f"witness x={list(x)} y={list(y)}: {error}\n")
-    return ",\n".join(records), errors, len(errors)
+    return ",\n".join(records), errors
 
 
 @contextlib.contextmanager
@@ -461,6 +415,8 @@ def _cmd_lemma_check(args) -> int:
     if isinstance(shift, Transcendental):
         raise _UsageError("lemma-check needs an algebraic or rational shift")
     m = minimal_polynomial_for(shift)
+    if args.X is not None and args.X < 1:
+        raise _UsageError(f"X must be an integer >= 1, got {args.X}")
     pairs = _load_witnesses(args.infile)
     # sides are sorted, so a side's last entry is its largest
     x_cap = args.X
@@ -477,9 +433,9 @@ def _cmd_lemma_check(args) -> int:
     with _checked_chunks(pairs, m, x_cap) as results:
         def records() -> Iterator[str]:
             nonlocal failures
-            for text, errors, failed in results:
+            for text, errors in results:
                 sys.stderr.writelines(errors)
-                failures += failed
+                failures += len(errors)
                 yield text
 
         _emit(_json_list_text(records()), args.out)

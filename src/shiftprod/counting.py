@@ -136,9 +136,6 @@ _LOW_BITS = (1 << 20) - 1
 _INT64_LIMIT = 1 << 63
 _WORD_MODULUS = 1 << 64
 
-# The CSV header of count and scan: the keys of CountReport.to_json_dict
-COUNT_CSV_HEADER = "k,X,shift,M,T,nondiag,distinct_nu,elapsed_ms"
-
 
 class CapacityError(RuntimeError):
     """A cell's table or colliding multisets would exceed the memory budget."""

@@ -13,6 +13,7 @@ import tempfile
 import textwrap
 import tracemalloc
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,19 +22,23 @@ from hypothesis import strategies as st
 from shiftprod import (
     Algebraic,
     MinimalPolynomial,
+    NotASolutionError,
     Poly,
     Rational,
     SolutionPair,
     WitnessReport,
+    count_mean_value,
     find_nondiagonal_witnesses,
+    fit_growth_exponent,
     format_shift,
     minimal_polynomial_for,
     parse_shift,
+    reference_exponent,
     verify_witness,
 )
 import shiftprod
 from shiftprod import cli
-from shiftprod.cli import _json_records, _load_witnesses, _pair_record, _report_record, main
+from shiftprod.cli import _load_witnesses, _pair_record, _report_record, main
 
 
 def run(capsys, *args):
@@ -79,6 +84,17 @@ class TestCount:
         assert payload["M"] == payload["T"] == 190
         assert payload["shift"] == "minpoly:-2,0,1"
 
+    @pytest.mark.parametrize("k, X, text", [(2, 30, "rational:1/2"), (3, 20, "minpoly:-2,0,1")])
+    def test_json_equals_json_dumps_of_the_engine_row(self, capsys, k, X, text):
+        code, out, err = run(
+            capsys, "count", "--k", str(k), "--X", str(X), "--shift", text, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        row = count_mean_value(k, X, parse_shift(text)).to_json_dict()
+        [written] = json.loads(out)
+        row["elapsed_ms"] = written["elapsed_ms"]
+        assert out == json.dumps([row], indent=2) + "\n"
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "row.csv"
         code, out, _ = run(
@@ -122,6 +138,31 @@ class TestScan:
         payload = json.loads(out)
         assert len(payload["rows"]) == 3
         assert payload["fit"]["alpha"] > 1
+
+    @pytest.mark.parametrize(
+        "xs, text", [((10, 20, 40), "rational:1/2"), ((5, 10, 15), "minpoly:-2,0,1")]
+    )
+    def test_json_equals_json_dumps_of_the_engine_rows(self, capsys, xs, text):
+        code, out, err = run(
+            capsys, "scan", "--k", "2", "--X-list", ",".join(map(str, xs)), "--shift", text,
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        shift = parse_shift(text)
+        reports = [count_mean_value(2, X, shift) for X in xs]
+        rows = [r.to_json_dict() for r in reports]
+        for row, written in zip(rows, json.loads(out)["rows"], strict=True):
+            row["elapsed_ms"] = written["elapsed_ms"]
+        fit = fit_growth_exponent(reports)
+        expected = {
+            "rows": rows,
+            "fit": {
+                "alpha": fit.alpha,
+                "zero_count": fit.zero_count,
+                "reference_exponent": reference_exponent(2, shift),
+            },
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestWitnessAndLemmaCheck:
@@ -209,6 +250,17 @@ class TestWitnessAndLemmaCheck:
         code, out, err = run(capsys, *cmd, "5")
         assert (code, err) == (0, "") and len(json.loads(out)) == 1
 
+    @pytest.mark.parametrize("witnesses", ["[]", '[{"x": [1, 7], "y": [2, 4]}]'])
+    @pytest.mark.parametrize("x_cap", ["-5", "0"])
+    def test_x_below_1_is_usage_error(self, capsys, monkeypatch, tmp_path, witnesses, x_cap):
+        out_path = tmp_path / "r.json"
+        cmd = ("lemma-check", "--shift", "rational:1/2", "--X", x_cap)
+        for out in ((), ("--out", str(out_path))):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(witnesses))
+            error = f"error: X must be an integer >= 1, got {x_cap}\n"
+            assert run(capsys, *cmd, *out) == (1, "", error)
+        assert not out_path.exists()
+
     def test_transcendental_rejected(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text("[]")
@@ -262,40 +314,33 @@ class TestWitnessAndLemmaCheck:
         assert out == json.dumps(expected, indent=2) + "\n"
 
 
-class TestJsonRecords:
-    """The writer of every flat JSON list is byte-equal to json.dumps(indent=2)."""
+# strings whose JSON text needs escaping: quotes, backslash, control
+# characters, U+2028, and characters outside ASCII and outside the BMP
+TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "日本", "\u2028", "😀", "a\"b\\c\nd"]
 
-    TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "日本", "\u2028", "😀", "a\"b\\c\nd"]
-    scalars = st.one_of(
-        st.integers(),
-        st.integers(min_value=2**64 - 2, max_value=2**200),
-        st.integers(min_value=-(2**200), max_value=-(2**64) + 2),
-        st.booleans(),
-        st.fractions().map(str),
-        st.text(),
-        st.sampled_from(TRICKY),
-    )
-    values = st.one_of(
-        scalars,
-        st.lists(st.one_of(st.integers(), st.integers(min_value=2**64))),
-        st.lists(st.booleans()),
-    )
-    keys = st.one_of(
-        st.sampled_from(["x", "y", "F_coeffs", "psi_coeffs", "rho", "C_a", "C_b", "error"]),
-        st.text(),
-    )
-    records = st.lists(st.dictionaries(keys, values))
 
-    @settings(deadline=None)
-    @given(records)
-    @example([])
-    @example([{}])
-    @example([{"x": [], "y": [], "lemma_ok": []}])
-    @example([{"rho": [-3, 2**64, -(2**70)], "lemma_ok": [True, False], "norm_ok": False}])
-    @example([{"C_a": "-5/3", "C_b": "1/18446744073709551616"}])
-    @example([{"x": [1], "y": [2], "error": 'a "quoted" \\ back\nslash é 日本 \u2028'}])
-    def test_equals_json_dumps(self, records):
-        assert "".join(_json_records(records)) == json.dumps(records, indent=2) + "\n"
+def assert_error_record_equals_json_dumps(message):
+    """An error record, which `_check_chunk` fills with `_json_string`, is `json.dumps`'s text."""
+    def fails(pair, m, X):
+        raise NotASolutionError(message)
+
+    m = minimal_polynomial_for(parse_shift("rational:1/2"))
+    with mock.patch.object(cli, "verify_witness", fails):
+        text, errors = cli._check_chunk([((1, 7), (2, 4))], m, 7)
+    expected = [{"x": [1, 7], "y": [2, 4], "error": message}]
+    assert "".join(cli._json_list_text([text])) == json.dumps(expected, indent=2) + "\n"
+    assert errors == [f"witness x=[1, 7] y=[2, 4]: {message}\n"]
+
+
+@pytest.mark.parametrize("message", TRICKY)
+def test_error_records_escape_like_json_dumps(message):
+    assert_error_record_equals_json_dumps(message)
+
+
+@settings(deadline=None)
+@given(st.text())
+def test_any_error_text_escapes_like_json_dumps(message):
+    assert_error_record_equals_json_dumps(message)
 
 
 MINPOLYS = [MinimalPolynomial(cs) for cs in ([-1, 2], [-2, 0, 1], [2, 1, 3, 1])]

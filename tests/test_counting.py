@@ -176,7 +176,9 @@ class TestCountMeanValue:
 
     def test_csv_fields_follow_the_json_keys(self):
         r = count_mean_value(2, 10, SQRT2)
-        assert list(r.to_json_dict()) == counting.COUNT_CSV_HEADER.split(",")
+        assert list(r.to_json_dict()) == [
+            "k", "X", "shift", "M", "T", "nondiag", "distinct_nu", "elapsed_ms",
+        ]
         assert list(r.to_json_dict().values()) == [
             2, 10, "minpoly:-2,0,1", 190, 190, 0, r.distinct_products, r.elapsed_ms,
         ]
