@@ -757,7 +757,6 @@ class ProductTable:
     Values are ordered-tuple multiplicities W.  The build sums them as it
     goes and keeps only the sums: their number is `distinct_products`, their
     sum is X^k and the sum of their squares is the mean value M.
-    `ordered_count` finds one W by `representation_count`'s search.
     """
 
     k: int
@@ -766,10 +765,6 @@ class ProductTable:
     distinct_products: int
     _total: int
     _mean_value: int
-
-    def ordered_count(self, nu: CanonicalProduct) -> int:
-        """Number of ordered k-tuples in [1, X]^k whose product has canonical form nu."""
-        return _representations(nu, self.k, self.X, self.shift)
 
     def mean_value(self) -> int:
         return self._mean_value
@@ -897,8 +892,8 @@ def diagonal_count_exact(k: int, X: int) -> int:
     (m_s = number of parts of size s) and each placement contributes the
     square of its ordering count k! / prod(part_i!).
     """
-    if k < 1 or X < 1:
-        raise ValueError("k and X must be positive")
+    _require_int("k", k, 1)
+    _require_int("X", X, 1)
     kfact = factorial(k)
     total = 0
     for lam in _partitions(k):

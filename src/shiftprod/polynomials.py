@@ -14,10 +14,9 @@ modulo an integer minimal polynomial, and the norm-like evaluation m(-n).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Coeff = Union[int, Fraction]
 
@@ -235,55 +234,53 @@ def _signed_divisors(n: int) -> list[int]:
     return [s * d for d in out for s in (1, -1)]
 
 
-def _has_rational_root(coeffs: Sequence[int]) -> bool:
-    """Rational-root test for an integer polynomial of degree >= 1."""
-    if coeffs[0] == 0:
-        return True  # t = 0
-    lead = coeffs[-1]
-    for p in _signed_divisors(coeffs[0]):
-        for q in _signed_divisors(lead):
-            if q <= 0 or gcd(p, q) != 1:
-                continue
-            if Poly(coeffs).evaluate(Fraction(p, q)) == 0:
-                return True
-    return False
+def _factor(f: Poly, e: int) -> Optional[tuple[Poly, Poly]]:
+    """A split f = g * q over the integers with deg g = e, or None if f has none.
 
-
-def _has_integer_quadratic_factor(coeffs: Sequence[int]) -> bool:
-    """Whether a quartic with no rational root splits into two integer quadratics.
-
-    Writes the candidate split as (a t^2 + b t + c)(a' t^2 + b' t + c') with
-    a > 0 (a sign can always be moved across the factors), enumerates divisor
-    pairs a*a' = c4 and c*c' = c0, then solves the remaining coefficient
-    equations for integer b, b'.
+    Kronecker's search, for a primitive integer f of degree >= 2e.  A factor
+    g divides f(a) at every integer a, so it interpolates one signed divisor
+    of f(a_i) at each of e + 1 points a_i.  The walk picks those divisors in
+    Newton form and keeps a prefix only while its divided differences are
+    integers, as those of an integer polynomial at integer points are.  The
+    points are near 0, where |f(a)| is smallest; among them the ones with the
+    fewest divisors.  An integer root a of f gives the factor t - a at once.
     """
-    c0, c1, c2, c3, c4 = coeffs
-    for a in _signed_divisors(c4):
-        if a <= 0 or c4 % a != 0:
-            continue
-        a2 = c4 // a
-        for c in _signed_divisors(c0):
-            if c0 % c != 0:
-                continue
-            cc = c0 // c
-            # Matching t^3 and t^2 gives a2*b^2 - c3*b + a*(c2 - a*cc - a2*c) = 0.
-            rest = c2 - a * cc - a2 * c
-            disc = c3 * c3 - 4 * a2 * a * rest
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            for num in (c3 + s, c3 - s):
-                if num % (2 * a2) != 0:
-                    continue
-                b = num // (2 * a2)
-                if (c3 - a2 * b) % a != 0:
-                    continue
-                b2 = (c3 - a2 * b) // a
-                if b * cc + b2 * c == c1:
-                    return True
-    return False
+    d = len(f.coeffs) - 1
+    near = sorted((abs(f.evaluate(a)), a) for a in range(-d, d + 1))
+    if near[0][0] == 0:
+        g = Poly([-near[0][1], 1])
+        return g, divmod(f, g)[0]
+    pool = sorted(((_signed_divisors(v), a) for v, a in near[: 2 * e + 2]),
+                  key=lambda pair: len(pair[0]))[: e + 1]
+    nodes = [a for _, a in pool]
+    divisors = [divs for divs, _ in pool]
+    divisors[0] = [v for v in divisors[0] if v > 0]  # g and -g both divide f
+    lead = f.coeffs[-1]
+
+    def walk(row: list[int], newton: list[int]) -> Optional[tuple[Poly, Poly]]:
+        j = len(newton)
+        if j > e:
+            if not newton[e] or lead % newton[e]:
+                return None
+            g = Poly([newton[e]])
+            for c, a in zip(newton[e - 1 :: -1], nodes[e - 1 :: -1]):
+                g = g * Poly([-a, 1]) + c
+            q, r = divmod(f, g)
+            return None if r or not q.is_integral else (g, q)
+        for v in divisors[j]:
+            new = [v]  # new[i] = g[a_(j-i), ..., a_j]
+            for i in range(j):
+                step, r = divmod(new[i] - row[i], nodes[j] - nodes[j - 1 - i])
+                if r:
+                    break
+                new.append(step)
+            else:
+                split = walk(new, newton + [new[j]])
+                if split:
+                    return split
+        return None
+
+    return walk([], [])
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -292,10 +289,11 @@ class MinimalPolynomial:
 
     The stored polynomial has content 1 (any common factor of the supplied
     coefficients is divided out), a nonzero leading coefficient, and degree
-    >= 1.  Irreducibility over the rationals is validated as far as cheaply
-    possible: no rational root for degree >= 2, and no integer quadratic
-    factor for degree 4 (degree 3 needs only the root test).  Degrees >= 5
-    are accepted with a warning since full factorization is out of scope.
+    d >= 1.  It must be irreducible over the rationals, at every degree: by
+    Gauss's lemma a reducible primitive polynomial splits into integer
+    factors, one of degree at most d // 2, and Kronecker's search (`_factor`)
+    rules out each such degree.  A reducible input raises ValueError naming
+    its split.
     """
 
     poly: Poly
@@ -312,19 +310,12 @@ class MinimalPolynomial:
         if len(cs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
         content = Poly(cs).content()
-        cs = [c // content for c in cs]
-        d = len(cs) - 1
-        if d >= 2 and _has_rational_root(cs):
-            raise ValueError(f"{Poly(cs)} has a rational root, so it is reducible")
-        if d == 4 and _has_integer_quadratic_factor(cs):
-            raise ValueError(f"{Poly(cs)} splits into integer quadratics")
-        if d >= 5:
-            warnings.warn(
-                f"irreducibility of degree-{d} minimal polynomials is only "
-                "partially validated (rational-root test not sufficient)",
-                stacklevel=2,
-            )
-        object.__setattr__(self, "poly", Poly(cs))
+        f = Poly([c // content for c in cs])
+        for e in range(1, f.degree // 2 + 1):
+            split = _factor(f, e)
+            if split:
+                raise ValueError(f"{f} = ({split[0]})({split[1]}), so it is reducible")
+        object.__setattr__(self, "poly", f)
 
     @property
     def degree(self) -> int:

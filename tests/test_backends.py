@@ -29,6 +29,7 @@ from shiftprod import (
     count_mean_value,
     find_nondiagonal_witnesses,
     format_shift,
+    representation_count,
     shifted_product,
 )
 from shiftprod import counting
@@ -266,10 +267,12 @@ def test_array_table_lookups(array_runs):
         for a in range(1, X + 1):
             for b in range(a, X + 2):
                 nu = shifted_product((a, b), shift)
-                assert table.ordered_count(nu) == counts[oracles.canonical((a, b), shift)]
+                expected = counts[oracles.canonical((a, b), shift)]
+                assert representation_count(nu, k, X, shift) == expected
         if shift == HALF:  # a rational product beyond int64 is no product of the cell
-            assert table.ordered_count(shifted_product((10**10, 10**10), HALF)) == 0
-        assert array_runs == [], "a lookup enumerated the cell"
+            beyond = shifted_product((10**10, 10**10), HALF)
+            assert representation_count(beyond, k, X, HALF) == 0
+        assert array_runs == [], "the search enumerated the cell"
 
 
 @pytest.mark.parametrize(
@@ -282,11 +285,9 @@ def test_product_beyond_the_cell_counts_zero(array_runs, nu):
     # cell, though its factor 3 is that of x = 1, and (1, 1, 4) has one
     # coordinate too many for k = 2, though its first two
     # (sigma_1, sigma_2) = (6, 9) are those of (3, 3)
-    assert build_product_table(2, 5, nu.shift).ordered_count(nu) == 0
-    assert array_runs == []
     array_runs.force()
-    assert build_product_table(2, 5, nu.shift).ordered_count(nu) == 0
-    assert array_runs == [(2, 5)]
+    assert representation_count(nu, 2, 5, nu.shift) == 0
+    assert array_runs == []
 
 
 def test_wide_tables_freed_without_cyclic_gc(array_runs):

@@ -456,7 +456,7 @@ def test_lemma_check_peaks_near_the_loader(tmp_path):
 def _algebraic_or_none(coeffs):
     try:
         return Algebraic(MinimalPolynomial(coeffs))
-    except ValueError:  # a rational root or a zero leading coefficient
+    except ValueError:  # reducible, or a zero leading coefficient
         return None
 
 
@@ -899,7 +899,23 @@ class TestErrors:
         code, _, err = run(
             capsys, "count", "--k", "2", "--X", "5", "--shift", "minpoly:-1,0,1"
         )
-        assert code == 1 and "rational root" in err
+        assert code == 1 and "reducible" in err
+
+    def test_reducible_quintic_rejected_naming_a_factor(self, capsys):
+        # (t^2 + 1)(t^3 + t + 1): no rational root, still reducible
+        code, out, err = run(
+            capsys, "count", "--k", "3", "--X", "5", "--shift", "minpoly:1,1,1,2,0,1"
+        )
+        assert (code, out) == (1, "") and "reducible" in err
+        assert "(t^2 + 1)" in err or "(t^3 + t + 1)" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_irreducible_quintic_counts_without_warning(self, capsys):
+        # t^5 + t^2 + 1
+        code, out, err = run(
+            capsys, "count", "--k", "6", "--X", "8", "--shift", "minpoly:1,0,1,0,0,1"
+        )
+        assert (code, err) == (0, "") and out
 
 
 class TestDeterminism:

@@ -56,11 +56,11 @@ class TestRepresentationCount:
         assert representation_count(nu, 2, 10, HALF) == 4
 
     def test_prebuilt_table_and_mismatch(self):
-        # a table answers by the same search; the one-shot call takes no
-        # table, and builds none, so it takes no memory budget either
+        # the count takes no table, and builds none, so it takes no memory
+        # budget either
         table = build_product_table(2, 10, SQRT2)
         nu = shifted_product((1, 3), SQRT2)
-        assert table.ordered_count(nu) == representation_count(nu, 2, 10, SQRT2) == 2
+        assert representation_count(nu, 2, 10, SQRT2) == 2
         with pytest.raises(TypeError, match="table"):
             representation_count(nu, 2, 10, SQRT2, table=table)
         with pytest.raises(TypeError, match="memory_budget_mb"):
@@ -70,14 +70,13 @@ class TestRepresentationCount:
                 representation_count(nu, k, X, SQRT2)
         with pytest.raises(ValueError, match="different shift"):
             representation_count(nu, 2, 10, HALF)
-        with pytest.raises(ValueError):
-            table.ordered_count(shifted_product((1, 3), HALF))
+        with pytest.raises(ValueError, match="different shift"):
+            representation_count(shifted_product((1, 3), HALF), 2, 10, SQRT2)
 
     def test_unrepresentable_product_counts_zero(self):
-        # a k=3 product queried against a k=2 table cannot alias anything
-        table = build_product_table(2, 10, SQRT2)
+        # a k=3 product counted in a k=2 cell cannot alias anything
         nu3 = shifted_product((9, 9, 9), SQRT2)
-        assert table.ordered_count(nu3) == 0
+        assert representation_count(nu3, 2, 10, SQRT2) == 0
 
     def test_sums_over_distinct_products(self):
         for shift in VARIANTS:
@@ -88,7 +87,7 @@ class TestRepresentationCount:
                 for a in range(1, X + 1)
                 for b in range(a, X + 1)
             }
-            counts = [table.ordered_count(nu) for nu in distinct]
+            counts = [representation_count(nu, k, X, shift) for nu in distinct]
             assert sum(counts) == X**k
             assert sum(c * c for c in counts) == table.mean_value()
             assert len(distinct) == table.distinct_products
@@ -115,14 +114,12 @@ def oracle_counts(k, X, shift):
 def test_search_matches_the_oracle(shift, k, X, data):
     # products of k values, some beyond X, and of k - 1 or k + 1 values; one
     # no tuple reaches counts 0.  rational:-3 has the zero product.
-    table = build_product_table(k, X, shift)
     sizes = st.sampled_from([n for n in (k - 1, k, k + 1) if n >= 1])
     values = sizes.flatmap(lambda n: st.lists(st.integers(1, X + 2), min_size=n, max_size=n))
     for m in data.draw(st.lists(values, min_size=1, max_size=8)):
         nu = shifted_product(m, shift)
         expected = oracle_counts(k, X, shift)[oracles.canonical(m, shift)]
         assert representation_count(nu, k, X, shift) == expected, m
-        assert table.ordered_count(nu) == expected, m
 
 
 def test_search_reaches_beyond_any_table(monkeypatch):
@@ -242,6 +239,11 @@ class TestDiagonalCount:
                 for i in range(k):
                     falling *= X - i
                 assert factorial(k) * max(falling, 0) <= t <= factorial(k) * X**k
+
+    @pytest.mark.parametrize("k, X", [(True, 3), (2, True), (2, 3.0), (2.0, 3), (0, 3), (2, 0)])
+    def test_bool_float_and_zero_rejected(self, k, X):
+        with pytest.raises(ValueError):
+            diagonal_count_exact(k, X)
 
 
 class TestWitnesses:

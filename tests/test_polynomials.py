@@ -1,9 +1,12 @@
 """Exact polynomial arithmetic, symmetric functions, and minimal polynomials."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from shiftprod import (
@@ -195,6 +198,21 @@ class TestNormFactor:
         assert norm_factor(0, m) == 7
 
 
+IRREDUCIBLE = {
+    "t^4+1": [1, 0, 0, 0, 1],  # reducible modulo every prime
+    "t^4-2": [-2, 0, 0, 0, 1],
+    "t^5+t^2+1": [1, 0, 1, 0, 0, 1],
+    "t^5-t-1": [-1, -1, 0, 0, 0, 1],
+    "t^10-t-1": [-1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+}
+REDUCIBLE = {
+    "(t^2+1)(t^3+t+1)": ([1, 0, 1], [1, 1, 0, 1]),
+    "(t^2+1)(t^2+2)": ([1, 0, 1], [2, 0, 1]),
+    "t^4+t^2+1": ([1, 1, 1], [1, -1, 1]),
+    "(t^4+1)(t^4+t+1)": ([1, 0, 0, 0, 1], [1, 1, 0, 0, 1]),
+}
+
+
 class TestMinimalPolynomial:
     def test_content_divided_out(self):
         m = MinimalPolynomial([-4, 0, 2])
@@ -239,10 +257,18 @@ class TestMinimalPolynomial:
         assert MinimalPolynomial([1, 0, 0, 0, 1]).degree == 4  # t^4 + 1
         assert MinimalPolynomial([-2, 0, 0, 0, 1]).degree == 4  # t^4 - 2
 
-    def test_degree_five_warns(self):
-        with pytest.warns(UserWarning):
-            m = MinimalPolynomial([-1, -1, 0, 0, 0, 1])  # t^5 - t - 1
-        assert m.degree == 5
+    @pytest.mark.parametrize("coeffs", IRREDUCIBLE.values(), ids=IRREDUCIBLE.keys())
+    def test_irreducible_at_any_degree_accepted_without_warning(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert MinimalPolynomial(coeffs).coeffs == tuple(coeffs)
+
+    @pytest.mark.parametrize("factors", REDUCIBLE.values(), ids=REDUCIBLE.keys())
+    def test_reducible_at_any_degree_rejected_naming_a_factor(self, factors):
+        g, h = (Poly(cs) for cs in factors)
+        with pytest.raises(ValueError, match="reducible") as info:
+            MinimalPolynomial((g * h).coeffs)
+        assert f"({g})" in str(info.value) or f"({h})" in str(info.value)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -253,3 +279,34 @@ class TestMinimalPolynomial:
             MinimalPolynomial([1, 2, 0])  # stated leading coefficient is zero
         with pytest.raises(ValueError):
             MinimalPolynomial([Fraction(1, 2), 1])  # non-integer
+
+
+@st.composite
+def primitive_polys(draw):
+    """Primitive integer polynomials of degree 2-6, half of them a product of two."""
+    def poly(degree):
+        coeffs = draw(st.lists(st.integers(-12, 12), min_size=degree, max_size=degree))
+        return Poly(coeffs + [draw(st.integers(1, 12)) * draw(st.sampled_from((1, -1)))])
+
+    d = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        e = draw(st.integers(1, d // 2))
+        f = poly(e) * poly(d - e)
+    else:
+        f = poly(d)
+    return Poly([c // f.content() for c in f.coeffs])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(f=primitive_polys())
+def test_irreducibility_matches_sympy(f):
+    # sympy is a test oracle only
+    sympy = pytest.importorskip("sympy")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("t")))
+    reducible = sum(multiplicity for _, multiplicity in factors) > 1
+    try:
+        MinimalPolynomial(f.coeffs)
+    except ValueError as err:
+        assert reducible and "reducible" in str(err), f
+    else:
+        assert not reducible, f
