@@ -264,6 +264,9 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
+# A pair crosses to lemma-check's workers as the tuple of its sorted sides:
+# 1024 pairs at k=2 pickle and unpickle in about 0.35 ms as tuples, against
+# 1.5 ms as `SolutionPair`s and 3.7 ms as a slotted dataclass (Python 3.11).
 Sides = tuple[tuple[int, ...], tuple[int, ...]]
 
 # lemma-check verifies and renders its pairs in chunks, one task each.  A

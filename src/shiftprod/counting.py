@@ -74,7 +74,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, repeat
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -752,25 +752,18 @@ def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
 
 @dataclasses.dataclass
 class ProductTable:
-    """Frequency table of canonical products over [1, X]^k for one shift.
+    """What the frequency table of canonical products over [1, X]^k yields.
 
-    Values are ordered-tuple multiplicities W.  The build sums them as it
-    goes and keeps only the sums: their number is `distinct_products`, their
-    sum is X^k and the sum of their squares is the mean value M.
+    Its values are the ordered-tuple multiplicities W.  The build sums them
+    as it goes and keeps only their number, `distinct_products`, and the sum
+    of their squares, the mean value M.
     """
 
-    k: int
-    X: int
-    shift: Shift
     distinct_products: int
-    _total: int
     _mean_value: int
 
     def mean_value(self) -> int:
         return self._mean_value
-
-    def total_ordered_tuples(self) -> int:
-        return self._total
 
 
 def build_product_table(
@@ -780,18 +773,18 @@ def build_product_table(
     *,
     memory_budget_mb: int = DEFAULT_MEMORY_BUDGET_MB,
 ) -> ProductTable:
-    """Enumerate all multisets once and build the ordered-multiplicity table."""
+    """Enumerate all multisets once and build the ordered-multiplicity table.
+
+    The weights W must sum to X^k, one per ordered tuple.
+    """
     keyer, np = _settle(k, X, shift, memory_budget_mb)
     if np is None:
-        sums = _dict_table(keyer, k, X)
+        distinct, total, mean_value = _dict_table(keyer, k, X)
     else:
-        sums = _array_table(np, keyer, k, X, memory_budget_mb)
-    table = ProductTable(k, X, shift, *sums)
-    if table.total_ordered_tuples() != X**k:
-        raise RuntimeError(
-            "ordering-weight bookkeeping lost tuples; this is an engine bug"
-        )
-    return table
+        distinct, total, mean_value = _array_table(np, keyer, k, X, memory_budget_mb)
+    if total != X**k:
+        raise RuntimeError("ordering-weight bookkeeping lost tuples; this is an engine bug")
+    return ProductTable(distinct, mean_value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -889,23 +882,18 @@ def diagonal_count_exact(k: int, X: int) -> int:
 
     Summed in closed form over multiplicity profiles (partitions of k): a
     profile with r distinct values can be placed in [X]_r / prod(m_s!) ways
-    (m_s = number of parts of size s) and each placement contributes the
-    square of its ordering count k! / prod(part_i!).
+    (m_s = number of parts of size s; the falling factorial [X]_r is
+    math.perm(X, r), 0 when r > X) and each placement contributes the square
+    of its ordering count k! / prod(part_i!).
     """
     _require_int("k", k, 1)
     _require_int("X", X, 1)
     kfact = factorial(k)
     total = 0
     for lam in _partitions(k):
-        r = len(lam)
-        falling = 1
-        for i in range(r):
-            falling *= X - i
-        if falling == 0:
-            continue
         profile_denom = prod(factorial(m) for m in Counter(lam).values())
         orderings = kfact // prod(factorial(part) for part in lam)
-        total += (falling // profile_denom) * orderings * orderings
+        total += (perm(X, len(lam)) // profile_denom) * orderings * orderings
     return total
 
 

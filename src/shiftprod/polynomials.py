@@ -287,12 +287,13 @@ def _factor(f: Poly, e: int) -> Optional[tuple[Poly, Poly]]:
 class MinimalPolynomial:
     """Primitive integer minimal polynomial of an algebraic shift.
 
-    The stored polynomial has content 1 (any common factor of the supplied
-    coefficients is divided out), a nonzero leading coefficient, and degree
-    d >= 1.  It must be irreducible over the rationals, at every degree: by
-    Gauss's lemma a reducible primitive polynomial splits into integer
-    factors, one of degree at most d // 2, and Kronecker's search (`_factor`)
-    rules out each such degree.  A reducible input raises ValueError naming
+    The stored polynomial has content 1 and a positive leading coefficient
+    (the supplied coefficients are divided by their common factor, negated
+    when c_d < 0, so each shift has one spelling), and degree d >= 1.  It
+    must be irreducible over the rationals, at every degree: by Gauss's
+    lemma a reducible primitive polynomial splits into integer factors, one
+    of degree at most d // 2, and Kronecker's search (`_factor`) rules out
+    each such degree.  A reducible input raises ValueError naming
     its split.
     """
 
@@ -309,7 +310,7 @@ class MinimalPolynomial:
             raise ValueError("leading coefficient c_d must be nonzero")
         if len(cs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
-        content = Poly(cs).content()
+        content = Poly(cs).content() * (1 if cs[-1] > 0 else -1)
         f = Poly([c // content for c in cs])
         for e in range(1, f.degree // 2 + 1):
             split = _factor(f, e)

@@ -278,7 +278,6 @@ class ExponentFit:
 
     alpha: Optional[float]
     zero_count: bool
-    n_points: int
 
 
 def fit_growth_exponent(reports: Sequence[CountReport]) -> ExponentFit:
@@ -298,14 +297,14 @@ def fit_growth_exponent(reports: Sequence[CountReport]) -> ExponentFit:
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise InsufficientDataError("X values must be strictly increasing")
     if any(r.nondiagonal == 0 for r in reports):
-        return ExponentFit(alpha=None, zero_count=True, n_points=len(reports))
+        return ExponentFit(alpha=None, zero_count=True)
     us = [math.log(r.X) for r in reports]
     vs = [math.log(r.nondiagonal) for r in reports]
     u_mean = sum(us) / len(us)
     v_mean = sum(vs) / len(vs)
     num = sum((u - u_mean) * (v - v_mean) for u, v in zip(us, vs))
     den = sum((u - u_mean) ** 2 for u in us)
-    return ExponentFit(alpha=num / den, zero_count=False, n_points=len(reports))
+    return ExponentFit(alpha=num / den, zero_count=False)
 
 
 def reference_exponent(k: int, shift: Shift) -> Optional[int]:

@@ -416,6 +416,24 @@ def test_written_files_equal_json_dumps_of_engine_dicts(tmp_path, k, X, text):
     assert reports.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
 
+def test_both_spellings_of_a_shift_write_the_same_files(capsys, tmp_path):
+    # minpoly:2,0,-1 is minpoly:-2,0,1: a negative leading coefficient is
+    # divided out, so every command prints and reports the positive spelling
+    written = []
+    for text in ("minpoly:-2,0,1", "minpoly:2,0,-1"):
+        witnesses, reports = tmp_path / f"w{text}.json", tmp_path / f"r{text}.json"
+        cell = ("--k", "3", "--X", "40", "--shift", text)
+        assert main(["witness", *cell, "--out", str(witnesses)]) == 0
+        argv = ["lemma-check", "--shift", text, "--X", "40", "--in", str(witnesses)]
+        assert main([*argv, "--out", str(reports)]) == 0
+        code, out, _ = run(capsys, "count", *cell)
+        count = out.rsplit(",", 1)[0]  # without elapsed_ms
+        written.append((code, count, witnesses.read_bytes(), reports.read_bytes()))
+    assert written[0] == written[1]
+    assert '"minpoly:-2,0,1"' in written[0][1]
+    assert b'"psi_coeffs": [\n      4\n    ]' in written[0][3]
+
+
 def peak(call):
     """The tracemalloc peak of `call()`, in bytes."""
     tracemalloc.start()
@@ -522,7 +540,7 @@ def lemma_check_both_ways(capsys, monkeypatch, *args, pairs_per_chunk=2, chunks=
 WITNESS_CELLS = [
     (4, 20, "rational:1/2"),
     (3, 20, "rational:-5/2"),
-    (4, 14, format_shift(Algebraic(MinimalPolynomial([2, -3, -1])))),
+    (4, 14, "minpoly:2,-3,-1"),  # a negative c_d, which the CLI divides out
     (4, 14, format_shift(Algebraic(MinimalPolynomial([2, 1, 3, 1])))),
 ]
 

@@ -73,6 +73,12 @@ class TestRepresentationCount:
         with pytest.raises(ValueError, match="different shift"):
             representation_count(shifted_product((1, 3), HALF), 2, 10, SQRT2)
 
+    def test_either_spelling_of_the_shift(self):
+        # minpoly:2,0,-1 is the shift minpoly:-2,0,1, not a different one
+        negated = parse_shift("minpoly:2,0,-1")
+        assert representation_count(shifted_product((1, 3), negated), 2, 10, SQRT2) == 2
+        assert representation_count(shifted_product((1, 3), SQRT2), 2, 10, negated) == 2
+
     def test_unrepresentable_product_counts_zero(self):
         # a k=3 product counted in a k=2 cell cannot alias anything
         nu3 = shifted_product((9, 9, 9), SQRT2)
@@ -210,6 +216,20 @@ class TestCountMeanValue:
             for engine in (count_mean_value, find_nondiagonal_witnesses, build_product_table):
                 with pytest.raises(ValueError):
                     engine(2, 5, SQRT2, memory_budget_mb=bad)
+
+    def test_bookkeeping_check_catches_a_short_total(self, monkeypatch):
+        # the dict backend has no check of its own: only sum W == X^k sees
+        # a total that lost one ordered tuple
+        dict_table = counting._dict_table
+
+        def short_total(*args):
+            distinct, total, squares = dict_table(*args)
+            return distinct, total - 1, squares
+
+        monkeypatch.setattr(counting, "_dict_table", short_total)
+        for engine in (build_product_table, count_mean_value):
+            with pytest.raises(RuntimeError, match="bookkeeping"):
+                engine(3, 8, SQRT2)
 
     def test_no_workers_keyword(self):
         # every cell settles in one process; only the CLI still accepts --workers

@@ -34,6 +34,16 @@ class TestGrammar:
     def test_round_trip(self, text):
         assert format_shift(parse_shift(text)) == text
 
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [("minpoly:2,0,-1", "minpoly:-2,0,1"), ("minpoly:4,0,-2", "minpoly:-2,0,1"),
+         ("minpoly:1,1,0,-1", "minpoly:-1,-1,0,1"), ("minpoly:1,0,-2", "minpoly:-1,0,2")],
+    )
+    def test_one_spelling_per_shift(self, text, canonical):
+        # a negative leading coefficient is divided out with the content
+        assert parse_shift(text) == parse_shift(canonical)
+        assert format_shift(parse_shift(text)) == canonical
+
     def test_bare_integer_rational(self):
         assert parse_shift("rational:5") == Rational(5, 1)
         assert format_shift(Rational(5, 1)) == "rational:5/1"
