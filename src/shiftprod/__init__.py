@@ -38,7 +38,6 @@ from .shifts import (
     shifted_product,
 )
 from .verify import (
-    ExponentFit,
     InsufficientDataError,
     NonIntegralQuotientError,
     NotASolutionError,
@@ -46,11 +45,9 @@ from .verify import (
     WitnessReport,
     factor_out_minpoly,
     fit_growth_exponent,
-    measure_bound_constants,
     norm_identity_check,
     product_difference,
     reference_exponent,
-    rho_bound_holds,
     verify_witness,
 )
 
@@ -61,7 +58,6 @@ __all__ = [
     "CanonicalProduct",
     "CapacityError",
     "CountReport",
-    "ExponentFit",
     "InsufficientDataError",
     "MinimalPolynomial",
     "NonIntegralQuotientError",
@@ -83,7 +79,6 @@ __all__ = [
     "find_nondiagonal_witnesses",
     "fit_growth_exponent",
     "format_shift",
-    "measure_bound_constants",
     "minimal_polynomial_for",
     "norm_factor",
     "norm_identity_check",
@@ -92,7 +87,6 @@ __all__ = [
     "reduce_mod_minpoly",
     "reference_exponent",
     "representation_count",
-    "rho_bound_holds",
     "shift_product_poly",
     "shifted_product",
     "verify_witness",

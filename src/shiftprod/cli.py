@@ -232,20 +232,20 @@ def _cmd_scan(args) -> int:
         for X in xs
     ]
     rows = [r.to_json_dict() for r in reports]
-    fit = fit_growth_exponent(reports)
+    alpha = fit_growth_exponent(reports)
     ref = reference_exponent(args.k, shift)
     if args.format == "json":
         payload = {
             "rows": rows,
             "fit": {
-                "alpha": fit.alpha,
-                "zero_count": fit.zero_count,
+                "alpha": alpha,
+                "zero_count": alpha is None,
                 "reference_exponent": ref,
             },
         }
         _emit([json.dumps(payload, indent=2) + "\n"], args.out)
         return EXIT_OK
-    alpha_text = "zero-count" if fit.zero_count else f"{fit.alpha:.6f}"
+    alpha_text = "zero-count" if alpha is None else f"{alpha:.6f}"
     ref_text = "none" if ref is None else str(ref)
     _emit_rows(args, rows, [f"# fitted_alpha={alpha_text}", f"# reference_exponent={ref_text}"])
     return EXIT_OK

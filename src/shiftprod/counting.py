@@ -937,10 +937,6 @@ class SolutionPair:
     def k(self) -> int:
         return len(self.x)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.x == self.y
-
     def to_json_dict(self) -> dict:
         return {"x": list(self.x), "y": list(self.y)}
 

@@ -110,20 +110,6 @@ class Poly:
             out[j] += c
         return Poly(out)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "Poly":
-        return -(self - other)
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
@@ -138,8 +124,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         """Exact division over the rationals: self = other*q + r, deg r < deg other.

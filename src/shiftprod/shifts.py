@@ -49,10 +49,6 @@ class Algebraic:
                 "algebraic shifts need degree >= 2; use Rational for degree 1"
             )
 
-    @property
-    def degree(self) -> int:
-        return self.minpoly.degree
-
 
 @dataclasses.dataclass(frozen=True)
 class Rational:

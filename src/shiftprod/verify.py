@@ -17,9 +17,11 @@ and taking norms of the defining equation gives
     prod_i m(-x_i) = prod_i m(-y_i).
 
 This module verifies all of these exactly on concrete witnesses, measures
-the normalised coefficient ratios |F_j| / X^(k-j) and |Psi_m| / X^(k-d-m)
-whose suprema play the role of the implicit constants, and fits growth
-exponents of non-diagonal counts from count reports.
+each witness's normalised coefficient ratios |F_j| / X^(k-j) and
+|Psi_m| / X^(k-d-m) (its C_a and C_b), and fits growth exponents of
+non-diagonal counts from count reports.  The suprema that play the role of
+the implicit constants are the max of the per-witness C_a and C_b over a
+corpus, which a caller takes itself.
 
 `verify_witness` is an integer kernel: F comes from the two elementary
 symmetric vectors as a `Poly` of ints built without re-validation, Psi from
@@ -250,42 +252,12 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
     )
 
 
-def measure_bound_constants(
-    reports: Sequence[WitnessReport],
-) -> tuple[Fraction, Fraction]:
-    """Empirical constants (C_a, C_b): the largest normalised coefficient ratios.
-
-    C_a bounds |F_j| / X^(k-j) and C_b bounds |Psi_m| / X^(k-d-m) over the
-    whole witness corpus; reports measured at different X contribute their
-    own ratios, so the result is the max of the per-X values.
-    """
-    if not reports:
-        raise ValueError("need at least one witness report")
-    c_a = max(r.max_f_ratio for r in reports)
-    c_b = max(r.max_psi_ratio for r in reports)
-    return c_a, c_b
-
-
-def rho_bound_holds(report: WitnessReport, c_bound: Fraction) -> bool:
-    """Whether every |rho_j| <= k * C * X^(k-d) for the given constant C."""
-    limit = report.k * c_bound * report.x_cap ** (report.k - report.d)
-    return all(abs(r) <= limit for r in report.rho)
-
-
-@dataclasses.dataclass(frozen=True)
-class ExponentFit:
-    """Least-squares growth exponent of non-diagonal counts, or a zero marker."""
-
-    alpha: Optional[float]
-    zero_count: bool
-
-
-def fit_growth_exponent(reports: Sequence[CountReport]) -> ExponentFit:
-    """Slope of log(nondiagonal) against log(X) over count reports.
+def fit_growth_exponent(reports: Sequence[CountReport]) -> Optional[float]:
+    """Least-squares slope of log(nondiagonal) against log(X) over count reports.
 
     Needs >= 3 reports at strictly increasing X with identical (k, shift).
     If any report has a zero non-diagonal count there is nothing to fit on a
-    log scale and the zero-count marker is returned instead.
+    log scale, and the result is None.
     """
     if len(reports) < 3:
         raise InsufficientDataError("need at least three count reports")
@@ -297,14 +269,14 @@ def fit_growth_exponent(reports: Sequence[CountReport]) -> ExponentFit:
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise InsufficientDataError("X values must be strictly increasing")
     if any(r.nondiagonal == 0 for r in reports):
-        return ExponentFit(alpha=None, zero_count=True)
+        return None
     us = [math.log(r.X) for r in reports]
     vs = [math.log(r.nondiagonal) for r in reports]
     u_mean = sum(us) / len(us)
     v_mean = sum(vs) / len(vs)
     num = sum((u - u_mean) * (v - v_mean) for u, v in zip(us, vs))
     den = sum((u - u_mean) ** 2 for u in us)
-    return ExponentFit(alpha=num / den, zero_count=False)
+    return num / den
 
 
 def reference_exponent(k: int, shift: Shift) -> Optional[int]:

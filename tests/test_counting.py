@@ -430,7 +430,7 @@ class TestSolutionPair:
 
     def test_cancel_examples(self):
         diag = cancel_common_factors(SolutionPair((1, 2, 3), (3, 1, 2)))
-        assert diag.k == 0 and diag.is_diagonal
+        assert diag.k == 0 and diag.x == diag.y
         red = cancel_common_factors(SolutionPair((1, 1, 7), (1, 2, 4)))
         assert (red.x, red.y) == ((1, 7), (2, 4))
         keep = SolutionPair((1, 7), (2, 4))

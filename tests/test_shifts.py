@@ -8,12 +8,13 @@ import pytest
 from shiftprod import (
     Algebraic,
     MinimalPolynomial,
+    Poly,
     Rational,
     Transcendental,
+    elementary_symmetric,
     format_shift,
     minimal_polynomial_for,
     parse_shift,
-    shift_product_poly,
     shifted_product,
 )
 
@@ -158,15 +159,21 @@ class TestEqualityIsDivisibility:
         # in Q(sqrt2): both sides expand to the same a + b*sqrt2)
         return [((1, 1, 10), (2, 3, 3)), ((3, 11, 28), (4, 5, 45))]
 
+    @staticmethod
+    def difference(x, y):
+        # prod(t + x_i) - prod(t + y_i), from the two symmetric vectors
+        sx, sy = elementary_symmetric(x), elementary_symmetric(y)
+        return Poly(a - b for a, b in zip(reversed(sx), reversed(sy)))
+
     def test_equal_iff_divisible(self):
         m = SQRT2.minpoly
         for x, y in self.equal_pairs():
             assert shifted_product(x, SQRT2) == shifted_product(y, SQRT2)
-            diff = shift_product_poly(x) - shift_product_poly(y)
+            diff = self.difference(x, y)
             assert not divmod(diff, m.poly)[1]
         for _ in range(50):
             x = tuple(rng.randint(1, 25) for _ in range(3))
             y = tuple(rng.randint(1, 25) for _ in range(3))
-            diff = shift_product_poly(x) - shift_product_poly(y)
+            diff = self.difference(x, y)
             divisible = not divmod(diff, m.poly)[1] if diff else True
             assert (shifted_product(x, SQRT2) == shifted_product(y, SQRT2)) == divisible
