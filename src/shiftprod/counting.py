@@ -12,6 +12,13 @@ product's count r(nu) needs no table: `representation_count` runs the norm
 identity prod m(-x_i) = prod m(-y_i) backwards, keeping the values whose
 factor divides a target read off nu and walking their k-tuples.
 
+A cell whose k is at most the degree d of the shift's minimal polynomial,
+and every cell of a transcendental shift, is not enumerated at all: by the
+paper's lemma every solution there is diagonal (`_diagonal_only`), so
+M = T, the distinct products are the C(X+k-1, k) multisets and there are
+no witnesses.  No keyer, backend or capacity guard is involved, so such a
+cell has no size limit.  Everything below is about the cells with k > d.
+
 Performance notes.  Canonical coordinates of the product are linear in the
 coefficient vector of prod(t + x_i).  One encoder, `_PolyKeyer`, folds them
 into a single integer by a (signed) mixed-radix encoding with per-coordinate
@@ -734,14 +741,30 @@ def _check_cell(k: int, X: int, shift: Shift) -> None:
         raise TypeError(f"not a shift: {shift!r}")
 
 
-def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
-    """The keyer and the numpy module (None for the dict backend) of a cell.
+def _diagonal_only(k: int, shift: Shift) -> bool:
+    """Whether the paper's lemma makes every solution of a cell diagonal.
 
-    Validates the arguments, builds the cell's keyer, picks the backend and
-    applies the capacity guard before anything is enumerated.
+    F = prod(t + x_i) - prod(t + y_i) has degree at most k - 1, and a
+    solution makes the minimal polynomial m divide it, so deg F >= d = deg m
+    unless F = 0.  For k <= d every solution has F = 0: equal multisets.  A
+    transcendental shift is the case d = infinity.  Only deg m is used, not
+    its irreducibility.
     """
+    return isinstance(shift, Transcendental) or minimal_polynomial_for(shift).degree >= k
+
+
+def _check_arguments(k: int, X: int, shift: Shift, memory_budget_mb: int) -> None:
+    """Raise ValueError or TypeError on an invalid cell or memory budget."""
     _check_cell(k, X, shift)
     _require_int("memory budget (MiB)", memory_budget_mb, 1)
+
+
+def _settle(k: int, X: int, shift: Shift, memory_budget_mb: int):
+    """The keyer and the numpy module (None for the dict backend) of a valid cell.
+
+    Builds the cell's keyer, picks the backend and applies the capacity
+    guard before anything is enumerated.
+    """
     keyer = _keyer_for(k, X, shift)
     np = _numpy_for(k, X)
     entries = comb(X + k - 1, k)
@@ -775,8 +798,13 @@ def build_product_table(
 ) -> ProductTable:
     """Enumerate all multisets once and build the ordered-multiplicity table.
 
-    The weights W must sum to X^k, one per ordered tuple.
+    The weights W must sum to X^k, one per ordered tuple.  A cell that
+    `_diagonal_only` settles is not enumerated: each multiset is its own
+    product, so M = T.
     """
+    _check_arguments(k, X, shift, memory_budget_mb)
+    if _diagonal_only(k, shift):
+        return ProductTable(comb(X + k - 1, k), diagonal_count_exact(k, X))
     keyer, np = _settle(k, X, shift, memory_budget_mb)
     if np is None:
         distinct, total, mean_value = _dict_table(keyer, k, X)
@@ -976,12 +1004,13 @@ def find_nondiagonal_witnesses(
     pairs.  The call validates its arguments, settles the cell and builds
     the colliding groups before it returns, so ValueError and CapacityError
     are raised by the call itself; the pairs are then built one at a time as
-    the iterator is consumed, and never held together.  Transcendental
-    shifts are legal and yield nothing: prod(x_i + t) = prod(y_i + t) in Z[t]
-    forces equal multisets, so once the arguments are validated the call
-    returns an empty iterator without enumerating the cell, and no cell of
-    theirs is too large.  `limit`, if given, keeps the first `limit` pairs and
-    must not be negative.
+    the iterator is consumed, and never held together.  A cell with k at
+    most the degree of the shift's minimal polynomial, or of a
+    transcendental shift, yields nothing: by the paper's lemma
+    (`_diagonal_only`) its equal products have equal multisets, so once the
+    arguments are validated the call returns an empty iterator without
+    enumerating the cell, and no such cell is too large.  `limit`, if given,
+    keeps the first `limit` pairs and must not be negative.
 
     A caller that keeps every pair, as in `list(...)`, should pause the
     cyclic collector around it (`gc.disable()`): millions of kept pairs,
@@ -989,9 +1018,8 @@ def find_nondiagonal_witnesses(
     """
     if limit is not None:
         _require_int("limit", limit, 0)
-    if isinstance(shift, Transcendental):
-        _check_cell(k, X, shift)
-        _require_int("memory budget (MiB)", memory_budget_mb, 1)
+    _check_arguments(k, X, shift, memory_budget_mb)
+    if _diagonal_only(k, shift):
         return iter(())
     keyer, np = _settle(k, X, shift, memory_budget_mb)
     # The colliding multisets are new objects, millions on a rational cell,

@@ -2,7 +2,10 @@
 
 Cells below the array backend's size threshold take the dict backend, the
 reference.  Lowering the threshold to 0 forces the array backend onto every
-cell with k >= 2; a spy on its enumeration shows whether it ran.
+cell with k >= 2; a spy on its enumeration shows whether it ran.  Every test
+here turns off the paper's-lemma shortcut (`enumerate_every_cell`), so that
+cells with k <= d, which the engine settles without enumerating them,
+reach the backends too.
 """
 
 import dataclasses
@@ -44,8 +47,18 @@ HALF = Rational(1, 2)
 ZERO_FACTOR = Rational(-3, 1)  # the factor 3 + theta vanishes
 TINY = Rational(1, 10**9)  # keys (q*X + p)^2 reach int64 at X = 4
 CUBE_ROOT2 = Algebraic(MinimalPolynomial([-2, 0, 0, 1]))
+QUARTIC = Algebraic(MinimalPolynomial([2, 0, 0, 0, 1]))
 # keys beyond int64, but for CUBE_ROOT2's, which the tied-word test forces
 WIDE_CELLS = [(4, 45, TRANS), (5, 12, TRANS), (4, 30, CUBE_ROOT2), (2, 8, TINY)]
+
+
+def enumerate_every_cell(monkeypatch):
+    """Turn off the paper's-lemma shortcut: cells with k <= d are enumerated too."""
+    monkeypatch.setattr(counting, "_diagonal_only", lambda k, shift: False)
+
+
+# the same, in code that a fresh process runs once it has imported counting
+ENUMERATE_EVERY_CELL = "counting._diagonal_only = lambda k, shift: False"
 
 
 def settle(k, X, shift):
@@ -56,11 +69,15 @@ def settle(k, X, shift):
 
 
 class ArrayRuns(list):
-    """The cells, as (k, X), whose multisets the array backend enumerated."""
+    """The cells, as (k, X), whose multisets the array backend enumerated.
+
+    Every cell is enumerated while it spies (`enumerate_every_cell`).
+    """
 
     def __init__(self, monkeypatch):
         super().__init__()
         self.monkeypatch = monkeypatch
+        enumerate_every_cell(monkeypatch)
         enumerate_rows = counting._enumerate_rows
 
         def spy(np_, keyer, k, X):
@@ -114,17 +131,16 @@ def chunk(request, monkeypatch):
 def enumerations(cell, witnesses):
     """How often settle() enumerates a cell on the array backend.
 
-    Once for the count and, but for a transcendental shift, whose witness
-    search enumerates nothing, once for the witnesses; and once more for each
+    Once for the count and once for the witnesses; and once more for each
     tie search that finds tied words: the witnesses' search, and beyond int64
     the count's too.
     """
     wide = not counting._keyer_for(*cell).fits_int64
-    searched = not isinstance(cell[2], Transcendental)
-    return 1 + searched + bool(witnesses) * (1 + wide)
+    return 2 + bool(witnesses) * (1 + wide)
 
 
 def assert_backends_agree(array_runs, cells):
+    """Each cell settles alike on both backends; returns the settled cells."""
     expected = {cell: settle(*cell) for cell in cells}
     assert array_runs == [], "small cells must take the dict backend by default"
     array_runs.force()
@@ -137,6 +153,7 @@ def assert_backends_agree(array_runs, cells):
         for pair in witnesses + expected[cell][1]:
             assert SolutionPair(pair.x, pair.y) == pair
             assert all(type(v) is int for v in pair.x + pair.y), (cell, pair)
+    return expected
 
 
 def test_oracle_grid(array_runs, chunk):
@@ -188,6 +205,42 @@ def test_wide_keys_grid(array_runs):
     assert_backends_agree(array_runs, WIDE_CELLS)
 
 
+LEMMA_CELLS = [
+    (k, X, shift)
+    for shifts, ks in [
+        ((TRANS,), (1, 2, 3, 4)),
+        ((SQRT2,), (2,)),
+        ((CUBIC, CUBE_ROOT2), (2, 3)),
+        ((QUARTIC,), (3, 4)),
+        ((HALF, ZERO_FACTOR, TINY), (1,)),
+    ]
+    for shift in shifts
+    for k in ks
+    for X in range(1, 13)
+] + [(4, 45, TRANS)]  # keys beyond int64
+
+
+def test_lemma_cells_match_the_enumeration(monkeypatch):
+    # k <= d: the closed form M = T, C(X+k-1, k) distinct products and no
+    # witnesses, against the enumeration on the dict and the array backend
+    closed = {cell: settle(*cell) for cell in LEMMA_CELLS}
+    for (k, X, shift), (report, witnesses) in closed.items():
+        assert counting._diagonal_only(k, shift), (k, X, shift)
+        assert report.mean_value == report.diagonal == counting.diagonal_count_exact(k, X)
+        assert report.distinct_products == comb(X + k - 1, k) and witnesses == []
+    walks = []
+    walk = counting._walk
+    monkeypatch.setattr(counting, "_walk", lambda *args: walks.append(1) or walk(*args))
+    array_runs = ArrayRuns(monkeypatch)
+    one_coordinate = [cell for cell in LEMMA_CELLS if cell[0] == 1]
+    for cell in one_coordinate:  # the dict backend alone
+        del walks[:]
+        assert settle(*cell) == closed[cell], cell
+        assert len(walks) == 2, cell  # the count and the witness search
+    cells = [cell for cell in LEMMA_CELLS if cell[0] > 1]
+    assert assert_backends_agree(array_runs, cells) == {cell: closed[cell] for cell in cells}
+
+
 @pytest.mark.parametrize(
     "cell", WIDE_CELLS + [(3, 20, HALF)], ids=lambda c: f"k{c[0]}-X{c[1]}-{format_shift(c[2])}"
 )
@@ -209,10 +262,8 @@ def test_tied_words_split_exactly(array_runs, cell, monkeypatch, chunk):
     assert settle(*cell) == expected
     build_product_table(*cell)
     # each of the count, the witnesses and the table enumerates the cell
-    # twice, since every narrowed cell has tied words; a transcendental
-    # witness search enumerates nothing
-    passes = 4 if isinstance(cell[2], Transcendental) else 6
-    assert array_runs == [cell[:2]] * passes
+    # twice, since every narrowed cell has tied words
+    assert array_runs == [cell[:2]] * 6
     words = {}
     for key in rekeyed:
         words.setdefault(key & mask, set()).add(key)
@@ -291,9 +342,8 @@ def test_product_beyond_the_cell_counts_zero(array_runs, nu):
 
 def test_wide_tables_freed_without_cyclic_gc(array_runs):
     # reference counting alone must free what a cell beyond int64 allocates
-    # when a call drops it.  A transcendental witness search enumerates
-    # nothing, so the search runs on a rational cell beyond int64 of about
-    # the same size.
+    # when a call drops it.  The search runs on a rational cell beyond int64
+    # of about the same size.
     array_runs.force()
     calls = ((count_mean_value, (4, 45, TRANS)), (find_nondiagonal_witnesses, (3, 100, TINY)))
     assert not counting._keyer_for(3, 100, TINY).fits_int64
@@ -401,6 +451,7 @@ def assert_table_peak_within_guard(k, X, shift):
         import tracemalloc
         tracemalloc.start()
         from shiftprod import counting, parse_shift
+        {ENUMERATE_EVERY_CELL}
         enumerate_rows = counting._enumerate_rows
         runs = []
         counting._enumerate_rows = lambda *args: runs.append(1) or enumerate_rows(*args)
@@ -441,6 +492,7 @@ def test_dict_table_peak_within_guard(k, X, text, tight):
     code = f"""
         import tracemalloc
         from shiftprod import counting, parse_shift
+        {ENUMERATE_EVERY_CELL}
         shift = parse_shift("{text}")
         counting.build_product_table({k}, 3, shift)  # first-use caches
         needed = []
@@ -468,6 +520,7 @@ def guarded_peak(call, force):
         import collections, tracemalloc
         tracemalloc.start()
         from shiftprod import counting, parse_shift, shifted_product
+        {ENUMERATE_EVERY_CELL}
         needed = []
         check_budget = counting._check_budget
         counting._check_budget = lambda n, *rest: needed.append(n) or check_budget(n, *rest)
@@ -510,14 +563,18 @@ def test_int64_cell_peaks_at_12_bytes_per_multiset(array_runs, settle_cell):
 
 def test_numpy_stays_unimported_off_the_array_backend():
     run_fresh(
-        """
+        f"""
         import sys
         import shiftprod.cli
         for name in ("numpy", "concurrent.futures.process", "multiprocessing"):
-            assert name not in sys.modules, f"import shiftprod.cli loaded {name}"
-        from shiftprod import Rational, Transcendental, count_mean_value
+            assert name not in sys.modules, f"import shiftprod.cli loaded {{name}}"
+        from shiftprod import Rational, Transcendental, count_mean_value, counting, parse_shift
         count_mean_value(2, 400, Rational(1, 2))
         assert "numpy" not in sys.modules, "a rat-k2 cell loaded numpy"
+        count_mean_value(4, 10**6, Transcendental())
+        count_mean_value(3, 10**5, parse_shift("minpoly:-2,0,0,1"))
+        assert "numpy" not in sys.modules, "a cell the lemma settles loaded numpy"
+        {ENUMERATE_EVERY_CELL}
         count_mean_value(4, 40, Transcendental())
         assert "numpy" not in sys.modules, "a small k=4 cell loaded numpy"
         """

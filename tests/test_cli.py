@@ -878,6 +878,28 @@ class TestErrors:
         )
         assert code == 2 and "budget" in err
 
+    @pytest.mark.parametrize(
+        "k, X, shift, M, distinct",
+        [
+            (4, 10**6, "transcendental", 23999928000081999967000000, 41666916667125000250000),
+            (3, 10**5, "minpoly:-2,0,0,1", 5999910000400000, 166671666700000),
+        ],
+    )
+    def test_lemma_cells_have_no_ceiling(self, capsys, k, X, shift, M, distinct):
+        # k <= d: M = T in closed form, however large the cell
+        cell = ("--k", str(k), "--X", str(X), "--shift", shift)
+        code, out, err = run(capsys, "count", *cell, "--format", "json")
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)
+        del row["elapsed_ms"]
+        assert row == {
+            "k": k, "X": X, "shift": shift, "M": M, "T": M, "nondiag": 0, "distinct_nu": distinct,
+        }
+
+    def test_cell_with_k_over_d_keeps_its_ceiling(self, capsys):
+        code, out, err = run(capsys, "count", "--k", "3", "--X", "1100", "--shift", "minpoly:-2,0,1")
+        assert (code, out) == (2, "") and "over the 2048 MiB budget" in err
+
     def test_colliding_multisets_over_budget_exit_code(self, capsys, tmp_path):
         # the table fits 16 MiB; the cell's colliding multisets do not
         cell = ("--k", "3", "--X", "100", "--shift", "rational:1/2", "--memory-budget-mb", "16")

@@ -274,16 +274,18 @@ class TestWitnesses:
         assert list(find_nondiagonal_witnesses(3, 15, Transcendental())) == []
 
     def test_transcendental_search_does_no_work(self, monkeypatch):
-        # equal products in Z[t] force equal multisets, so no cell of a
-        # transcendental shift is enumerated or too large for the budget
+        # equal products in Z[t] force equal multisets (the lemma's case
+        # d = infinity), so no cell of a transcendental shift is enumerated
+        # or too large for the budget, on either question
         def never(*args):
             raise AssertionError("a transcendental cell was enumerated")
 
-        monkeypatch.setattr(counting, "_array_groups", never)
-        monkeypatch.setattr(counting, "_dict_groups", never)
+        for name in ("_array_table", "_dict_table", "_array_groups", "_dict_groups"):
+            monkeypatch.setattr(counting, name, never)
         shift = Transcendental()
-        with pytest.raises(CapacityError):
-            count_mean_value(6, 400, shift, memory_budget_mb=1)
+        report = count_mean_value(6, 400, shift, memory_budget_mb=1)
+        assert report.mean_value == report.diagonal == diagonal_count_exact(6, 400)
+        assert report.distinct_products == comb(405, 6)
         for k, X in [(6, 400), (2, 3), (1, 1)]:
             assert list(find_nondiagonal_witnesses(k, X, shift, memory_budget_mb=1)) == []
         for k, X, kwargs in [
@@ -291,13 +293,34 @@ class TestWitnesses:
             (7, 10, {}),
             (True, 10, {}),
             (3, 0, {}),
-            (3, 10, {"limit": -1}),
             (3, 10, {"memory_budget_mb": 0}),
         ]:
-            with pytest.raises(ValueError):
-                find_nondiagonal_witnesses(k, X, shift, **kwargs)
-        with pytest.raises(TypeError):
-            find_nondiagonal_witnesses(3, 10, "transcendental")
+            for engine in (count_mean_value, find_nondiagonal_witnesses):
+                with pytest.raises(ValueError):
+                    engine(k, X, shift, **kwargs)
+        with pytest.raises(ValueError):
+            find_nondiagonal_witnesses(3, 10, shift, limit=-1)
+        for engine in (count_mean_value, find_nondiagonal_witnesses):
+            with pytest.raises(TypeError):
+                engine(3, 10, "transcendental")
+
+    def test_lemma_settles_k_at_most_d(self, monkeypatch):
+        # deg F <= k - 1 < d unless k > d, so m | F forces F = 0: the cells
+        # below are settled without a keyer, a backend or the capacity guard
+        def never(*args):
+            raise AssertionError("a cell with k <= d was enumerated")
+
+        for name in ("_keyer_for", "_numpy_for", "_check_budget"):
+            monkeypatch.setattr(counting, name, never)
+        cube_root2 = parse_shift("minpoly:-2,0,0,1")
+        for k, X, shift in [(3, 10**5, cube_root2), (2, 10**9, SQRT2), (1, 10**6, HALF)]:
+            assert counting._diagonal_only(k, shift)
+            report = count_mean_value(k, X, shift, memory_budget_mb=1)
+            assert report.mean_value == report.diagonal == diagonal_count_exact(k, X)
+            assert report.distinct_products == comb(X + k - 1, k)
+            assert list(find_nondiagonal_witnesses(k, X, shift, memory_budget_mb=1)) == []
+        assert not counting._diagonal_only(4, cube_root2)
+        assert not counting._diagonal_only(2, HALF)
 
     def test_rational_example(self):
         pairs = list(find_nondiagonal_witnesses(2, 7, HALF))
@@ -399,9 +422,11 @@ class TestWitnesses:
             with pytest.raises(ValueError):
                 find_nondiagonal_witnesses(2, 8, HALF, limit=bad)
 
-    def test_tables_freed_without_cyclic_gc(self):
+    def test_tables_freed_without_cyclic_gc(self, monkeypatch):
         # reference counting alone must free every table a call drops, such
-        # as the witness search's pass-1 counts, or they outlive the call
+        # as the witness search's pass-1 counts, or they outlive the call;
+        # the lemma would settle this cell without a table, so it is turned off
+        monkeypatch.setattr(counting, "_diagonal_only", lambda k, shift: False)
         enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()

@@ -8,7 +8,11 @@ of non-diagonal witness pairs `witness` writes.  Its `checked_by` says how
 the row was first obtained (one backend or both); it is a note and is not
 re-derived.  The cells reach far beyond the brute-force oracles of the test
 suite, so a row guards against regressions, and one checked on both
-backends against a bug of either, but not against a bug they share.
+backends against a bug of either, but not against a bug they share.  A
+cell with k at most the degree of the shift (every transcendental cell)
+re-derives from the paper's lemma, M = T in closed form, not from an
+enumeration, whatever its first `checked_by`; such rows guard the
+shortcut and the closed form.
 Prints one line per row, with its wall time.
 """
 
