@@ -32,9 +32,10 @@ walker carries the keys K_i = key(P * t^i), which start at E_i; a factor
 the innermost loop is `key = a*x + b`, where (a, b) = (K_0, K_1).
 
 Two backends fill the table.  The array backend settles a cell when numpy
-imports, k >= 2 and the cell has at least _ARRAY_MIN_MULTISETS multisets
-(smaller cells do not repay the numpy import).  With the first k-2 factors
-fixed the key is bilinear in the last two, a*x*y + b*(x + y) + c with
+imports and the cell has at least _ARRAY_MIN_MULTISETS multisets (smaller
+cells do not repay the numpy import).  Every enumerated cell has
+k > d >= 1, so at least two factors: with the first k-2 of them fixed the
+key is bilinear in the last two, a*x*y + b*(x + y) + c with
 (a, b, c) = (K_0, K_1, K_2), so it writes the words of all their pairs at
 once into one int64 array.  A key's word is the key modulo 2^64 in two's
 complement, which the int64 arithmetic computes by wrapping, and it is the
@@ -83,9 +84,9 @@ from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, factorial, lcm, perm, prod
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .polynomials import Coeff, MinimalPolynomial, Poly, norm_factor, reduce_mod_minpoly
+from .polynomials import MinimalPolynomial, Poly, norm_factor, reduce_mod_minpoly
 from .shifts import Algebraic, CanonicalProduct, Rational, Shift, Transcendental
 from .shifts import format_shift, minimal_polynomial_for, shifted_product
 
@@ -102,9 +103,9 @@ DEFAULT_MEMORY_BUDGET_MB = 2048
 # cached.  Per multiset, the peak swings with where the cell's key count
 # falls between two doublings: 66.5 B at k=3, X=100 (171,700 multisets) and
 # 124.4 B at X=101 (176,851, just past one), where the model gives 85.8 and
-# 128.9; 153.2 B at k=6, X=20 transcendental (114-bit keys) against 164.8;
-# 124.3 B at k=4, X=26, rational:1/10^9 (139-bit keys) against 134.8.  No
-# one figure per multiset fits them all.
+# 128.9; 153.2 B at k=6, X=20, minpoly:-2,0,0,0,0,1 (106-bit keys) against
+# 164.8; 124.3 B at k=4, X=26, rational:1/10^9 (139-bit keys) against 134.8.
+# No one figure per multiset fits them all.
 _DICT_BYTES_PER_SLOT = 30
 _BYTES_PER_KEY_SLACK = 8
 _BYTES_PER_LARGE_WEIGHT = 28
@@ -118,9 +119,10 @@ _ARRAY_MIN_MULTISETS = 1 << 20
 # With numpy imported, and less 2.5 MiB of chunk temporaries and 32 B per pair
 # (below), tables peaked at 9.7 B per multiset at k=3, X=400 (1.5% repeat a
 # value), 10.6 at k=4, X=120 (9.5%), 13.1 at k=5, X=50 (33%), 19.2 at k=6,
-# X=30 (63%) and 18.3 at k=6, X=40 (53%); beyond int64 at 10.4 at k=4, X=100
-# and 13.8 at k=6, X=25.  The fixed part covers numpy's own import, 6.6 MiB,
-# and the chunk temporaries.  On top comes the table of the X(X+1)/2 pairs of
+# X=30 (63%) and 18.3 at k=6, X=40 (53%); beyond int64 at 10.4 at k=4, X=100,
+# minpoly:-2,0,0,1 (67-bit keys) and 13.8 at k=6, X=25, minpoly:-2,0,0,0,0,1
+# (112-bit keys).  The fixed part covers numpy's own import, 6.6 MiB, and the
+# chunk temporaries.  On top comes the table of the X(X+1)/2 pairs of
 # [1, X], whose enumeration is the whole peak at k=2: 36.2 B per pair at k=2,
 # X=1500.
 _ARRAY_FIXED_BYTES = 10 << 20
@@ -153,25 +155,24 @@ class CapacityError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _reduction_rows(m: MinimalPolynomial, k: int) -> list[tuple[Coeff, ...]]:
-    """Rows R[j] = coordinates of t^j reduced mod m, for j = 0..k."""
-    return [reduce_mod_minpoly(Poly([0] * j + [1]), m) for j in range(k + 1)]
-
-
 class _PolyKeyer:
-    """Single-integer keys for every canonical form: one shift, one encoder.
+    """Single-integer keys for the canonical forms of one shift's products.
 
-    Built from rows S[j] (the contribution of the t^j coefficient of the
-    product polynomial to each canonical coordinate, scaled to integers) plus
-    exact per-coordinate bounds; the key of a product with coefficient vector
-    c is sum_j c_j * E_j, where E_j folds S[j] through the radix strides.  A
-    rational p/q is the degree-1 case: its rows reduce modulo q*t - p, so
-    E_j = p^j * q^(k-j) and the key is prod(q*x_i + p), its canonical form.
+    Row S[j] holds the coordinates of t^j reduced modulo the minimal
+    polynomial m, scaled to integers: the contribution of the t^j
+    coefficient of the product polynomial to each canonical coordinate.
+    With exact per-coordinate bounds, the key of a product with coefficient
+    vector c is sum_j c_j * E_j, where E_j folds S[j] through the radix
+    strides.  A rational p/q is the degree-1 case: its rows reduce modulo
+    q*t - p, so E_j = p^j * q^(k-j) and the key is prod(q*x_i + p), its
+    canonical form.
     """
 
     __slots__ = ("rows_weight", "bounds", "strides", "key_bits", "fits_int64")
 
-    def __init__(self, k: int, X: int, rows: Sequence[Sequence[Coeff]], dims: int):
+    def __init__(self, k: int, X: int, m: MinimalPolynomial):
+        dims = m.degree
+        rows = [reduce_mod_minpoly(Poly([0] * j + [1]), m) for j in range(k + 1)]
         scale = lcm(*(f.denominator for row in rows for f in row))
         srows = [tuple(int(f * scale) for f in row) for row in rows]
         # |c_j| = sigma_{k-j} <= C(k, k-j) X^(k-j) for tuples from [1, X]
@@ -197,14 +198,8 @@ class _PolyKeyer:
 
 
 def _keyer_for(k: int, X: int, shift: Shift) -> _PolyKeyer:
-    if isinstance(shift, Transcendental):
-        # canonical coordinate i is sigma_{i+1}, the t^(k-1-i) coefficient of
-        # the product polynomial; the monic t^k coefficient carries nothing
-        rows = [tuple(int(i == k - 1 - j) for i in range(k)) for j in range(k)]
-        rows.append((0,) * k)
-        return _PolyKeyer(k, X, rows, k)
-    m = minimal_polynomial_for(shift)
-    return _PolyKeyer(k, X, _reduction_rows(m, k), m.degree)
+    """The keyer of a cell with k > d, which only a rational or algebraic shift has."""
+    return _PolyKeyer(k, X, minimal_polynomial_for(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +333,7 @@ def _numpy_for(k: int, X: int):
     cells never pay for the import.
     """
     n = comb(X + k - 1, k)
-    if k < 2 or n < _ARRAY_MIN_MULTISETS:
+    if n < _ARRAY_MIN_MULTISETS:
         return None
     if n * factorial(k) >= _INT64_LIMIT:
         return None

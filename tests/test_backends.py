@@ -2,10 +2,9 @@
 
 Cells below the array backend's size threshold take the dict backend, the
 reference.  Lowering the threshold to 0 forces the array backend onto every
-cell with k >= 2; a spy on its enumeration shows whether it ran.  Every test
-here turns off the paper's-lemma shortcut (`enumerate_every_cell`), so that
-cells with k <= d, which the engine settles without enumerating them,
-reach the backends too.
+cell it enumerates; a spy on its enumeration shows whether it ran.  Only a
+cell with k > d is enumerated, d being the degree of the shift's minimal
+polynomial: the engine settles every other cell by the paper's lemma.
 """
 
 import dataclasses
@@ -15,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -48,17 +48,12 @@ ZERO_FACTOR = Rational(-3, 1)  # the factor 3 + theta vanishes
 TINY = Rational(1, 10**9)  # keys (q*X + p)^2 reach int64 at X = 4
 CUBE_ROOT2 = Algebraic(MinimalPolynomial([-2, 0, 0, 1]))
 QUARTIC = Algebraic(MinimalPolynomial([2, 0, 0, 0, 1]))
+FOURTH_ROOT2 = Algebraic(MinimalPolynomial([-2, 0, 0, 0, 1]))
+FIFTH_ROOT2 = Algebraic(MinimalPolynomial([-2, 0, 0, 0, 0, 1]))
+WIDE_CUBIC = Algebraic(MinimalPolynomial([-(10**7), 0, 0, 1]))  # 70-bit keys at k=4, X=45
+WIDE_QUARTIC = Algebraic(MinimalPolynomial([-(10**5), 0, 0, 0, 1]))  # 66-bit keys at k=5, X=10
 # keys beyond int64, but for CUBE_ROOT2's, which the tied-word test forces
-WIDE_CELLS = [(4, 45, TRANS), (5, 12, TRANS), (4, 30, CUBE_ROOT2), (2, 8, TINY)]
-
-
-def enumerate_every_cell(monkeypatch):
-    """Turn off the paper's-lemma shortcut: cells with k <= d are enumerated too."""
-    monkeypatch.setattr(counting, "_diagonal_only", lambda k, shift: False)
-
-
-# the same, in code that a fresh process runs once it has imported counting
-ENUMERATE_EVERY_CELL = "counting._diagonal_only = lambda k, shift: False"
+WIDE_CELLS = [(4, 45, WIDE_CUBIC), (5, 10, WIDE_QUARTIC), (4, 30, CUBE_ROOT2), (2, 8, TINY)]
 
 
 def settle(k, X, shift):
@@ -69,15 +64,11 @@ def settle(k, X, shift):
 
 
 class ArrayRuns(list):
-    """The cells, as (k, X), whose multisets the array backend enumerated.
-
-    Every cell is enumerated while it spies (`enumerate_every_cell`).
-    """
+    """The cells, as (k, X), whose multisets the array backend enumerated."""
 
     def __init__(self, monkeypatch):
         super().__init__()
         self.monkeypatch = monkeypatch
-        enumerate_every_cell(monkeypatch)
         enumerate_rows = counting._enumerate_rows
 
         def spy(np_, keyer, k, X):
@@ -87,7 +78,7 @@ class ArrayRuns(list):
         monkeypatch.setattr(counting, "_enumerate_rows", spy)
 
     def force(self):
-        """Send every cell with k >= 2 to the array backend."""
+        """Send every enumerated cell to the array backend."""
         self.monkeypatch.setattr(counting, "_ARRAY_MIN_MULTISETS", 0)
 
     def narrow(self, bits):
@@ -157,21 +148,17 @@ def assert_backends_agree(array_runs, cells):
 
 
 def test_oracle_grid(array_runs, chunk):
-    cells = [(k, X, shift) for shift in (SQRT2, TRANS, HALF) for k in (2, 3) for X in range(1, 13)]
+    cells = [
+        (k, X, shift)
+        for shift, ks in ((SQRT2, (3,)), (CUBE_ROOT2, (4,)), (HALF, (2, 3)))
+        for k in ks
+        for X in range(1, 13)
+    ]
     assert_backends_agree(array_runs, cells)
 
 
-def test_one_coordinate_stays_on_dict_backend(array_runs):
-    array_runs.force()
-    for shift in (SQRT2, TRANS, HALF):
-        for X in range(1, 13):
-            report, witnesses = settle(1, X, shift)
-            assert report.mean_value == report.diagonal == X and witnesses == []
-    assert array_runs == []
-
-
 def test_cubic_and_zero_factor_cells(array_runs, chunk):
-    assert_backends_agree(array_runs, [(3, 30, CUBIC), (2, 6, ZERO_FACTOR)])
+    assert_backends_agree(array_runs, [(4, 20, CUBIC), (2, 6, ZERO_FACTOR)])
     report, _ = settle(2, 6, ZERO_FACTOR)
     assert report.nondiagonal == 120
 
@@ -182,13 +169,14 @@ def test_keys_alike_in_their_low_bits(array_runs, chunk):
     assert_backends_agree(array_runs, [(3, 60, HALF)])
 
 
-def test_int64_edge_transcendental_k4(array_runs):
+def test_int64_edge_quartic_k5(array_runs):
     # the largest key magnitude (box - 1)/2 must fit in int64, not the box
-    keyers = {X: counting._keyer_for(4, X, TRANS) for X in (40, 41)}
+    keyers = {X: counting._keyer_for(5, X, FOURTH_ROOT2) for X in (12, 13)}
     box = {X: kr.strides[-1] * (2 * kr.bounds[-1] + 1) for X, kr in keyers.items()}
-    assert box[40] >= 2**63 and (box[40] - 1) // 2 < 2**63 <= (box[41] - 1) // 2
-    assert_backends_agree(array_runs, [(4, 40, TRANS), (4, 41, TRANS)])
-    report = count_mean_value(4, 41, TRANS)
+    assert box[12] >= 2**63 and (box[12] - 1) // 2 < 2**63 <= (box[13] - 1) // 2
+    assert [keyers[X].fits_int64 for X in (12, 13)] == [True, False]
+    assert_backends_agree(array_runs, [(5, 12, FOURTH_ROOT2), (5, 13, FOURTH_ROOT2)])
+    report = count_mean_value(5, 13, FOURTH_ROOT2)
     assert report.mean_value == report.diagonal
 
 
@@ -216,29 +204,21 @@ LEMMA_CELLS = [
     ]
     for shift in shifts
     for k in ks
-    for X in range(1, 13)
-] + [(4, 45, TRANS)]  # keys beyond int64
+    for X in range(1, {1: 13, 2: 13, 3: 9, 4: 6}[k])  # the oracles visit X^k tuples
+]
 
 
-def test_lemma_cells_match_the_enumeration(monkeypatch):
+def test_lemma_cells_match_the_oracles():
     # k <= d: the closed form M = T, C(X+k-1, k) distinct products and no
-    # witnesses, against the enumeration on the dict and the array backend
-    closed = {cell: settle(*cell) for cell in LEMMA_CELLS}
-    for (k, X, shift), (report, witnesses) in closed.items():
+    # witnesses, against the brute-force count over every ordered tuple
+    for k, X, shift in LEMMA_CELLS:
         assert counting._diagonal_only(k, shift), (k, X, shift)
-        assert report.mean_value == report.diagonal == counting.diagonal_count_exact(k, X)
-        assert report.distinct_products == comb(X + k - 1, k) and witnesses == []
-    walks = []
-    walk = counting._walk
-    monkeypatch.setattr(counting, "_walk", lambda *args: walks.append(1) or walk(*args))
-    array_runs = ArrayRuns(monkeypatch)
-    one_coordinate = [cell for cell in LEMMA_CELLS if cell[0] == 1]
-    for cell in one_coordinate:  # the dict backend alone
-        del walks[:]
-        assert settle(*cell) == closed[cell], cell
-        assert len(walks) == 2, cell  # the count and the witness search
-    cells = [cell for cell in LEMMA_CELLS if cell[0] > 1]
-    assert assert_backends_agree(array_runs, cells) == {cell: closed[cell] for cell in cells}
+        report, witnesses = settle(k, X, shift)
+        assert report.mean_value == oracles.mean_value(k, X, shift), (k, X, shift)
+        assert report.diagonal == oracles.diagonal_count(k, X), (k, X, shift)
+        distinct = len(oracles.representation_counts(k, X, shift))
+        assert report.distinct_products == distinct, (k, X, shift)
+        assert witnesses == [], (k, X, shift)
 
 
 @pytest.mark.parametrize(
@@ -302,23 +282,22 @@ def test_array_runs_in_process_at_any_worker_count(array_runs, capsys):
 
 def test_array_table_lookups(array_runs):
     # the sums match the dict backend's, and each product's count the
-    # oracle's over the cell's 900 ordered tuples
-    k, X = 2, 30
-    shifts = (SQRT2, HALF, TRANS)
-    references = [build_product_table(k, X, shift) for shift in shifts]
+    # oracle's over the cell's X^k ordered tuples; a multiset with a value
+    # X + 1 has no representation in the cell
+    cells = [(3, 12, SQRT2), (4, 7, CUBE_ROOT2), (2, 30, HALF)]
+    references = [build_product_table(*cell) for cell in cells]
     array_runs.force()
-    for shift, reference in zip(shifts, references):
+    for (k, X, shift), reference in zip(cells, references):
         table = build_product_table(k, X, shift)
         assert array_runs[-1:] == [(k, X)], shift
         array_runs.clear()
         assert table.distinct_products == reference.distinct_products
         assert table.mean_value() == reference.mean_value()
         counts = oracles.representation_counts(k, X, shift)
-        for a in range(1, X + 1):
-            for b in range(a, X + 2):
-                nu = shifted_product((a, b), shift)
-                expected = counts[oracles.canonical((a, b), shift)]
-                assert representation_count(nu, k, X, shift) == expected
+        for multiset in combinations_with_replacement(range(1, X + 2), k):
+            nu = shifted_product(multiset, shift)
+            expected = counts[oracles.canonical(multiset, shift)]
+            assert representation_count(nu, k, X, shift) == expected
         if shift == HALF:  # a rational product beyond int64 is no product of the cell
             beyond = shifted_product((10**10, 10**10), HALF)
             assert representation_count(beyond, k, X, HALF) == 0
@@ -345,7 +324,8 @@ def test_wide_tables_freed_without_cyclic_gc(array_runs):
     # when a call drops it.  The search runs on a rational cell beyond int64
     # of about the same size.
     array_runs.force()
-    calls = ((count_mean_value, (4, 45, TRANS)), (find_nondiagonal_witnesses, (3, 100, TINY)))
+    calls = ((count_mean_value, (4, 45, WIDE_CUBIC)), (find_nondiagonal_witnesses, (3, 100, TINY)))
+    assert not counting._keyer_for(4, 45, WIDE_CUBIC).fits_int64
     assert not counting._keyer_for(3, 100, TINY).fits_int64
     for settle_cell, cell in calls:
         settle_cell(*cell)  # numpy allocates its caches on first use
@@ -390,7 +370,7 @@ def corrupt_weights(monkeypatch, change):
     monkeypatch.setattr(counting, "_enumerate_rows", corrupted)
 
 
-@pytest.mark.parametrize("shift", [SQRT2, TRANS], ids=["int64", "wide"])
+@pytest.mark.parametrize("shift", [SQRT2, WIDE_QUARTIC], ids=["int64", "wide"])
 def test_bookkeeping_check_catches_lost_weight(array_runs, monkeypatch, shift):
     def lose_one(weights, short):
         weights[short[0]] -= 1
@@ -401,7 +381,7 @@ def test_bookkeeping_check_catches_lost_weight(array_runs, monkeypatch, shift):
         build_product_table(5, 10, shift)
 
 
-@pytest.mark.parametrize("shift", [SQRT2, TRANS], ids=["int64", "wide"])
+@pytest.mark.parametrize("shift", [SQRT2, WIDE_QUARTIC], ids=["int64", "wide"])
 def test_bookkeeping_check_catches_moved_weight(array_runs, monkeypatch, shift):
     # X^k still holds, so only the sum of squared row weights, the diagonal
     # count T, shows the move
@@ -409,7 +389,8 @@ def test_bookkeeping_check_catches_moved_weight(array_runs, monkeypatch, shift):
         weights[short[0]] += 1
         weights[short[1]] -= 1
 
-    assert not counting._keyer_for(5, 10, TRANS).fits_int64
+    assert counting._keyer_for(5, 10, SQRT2).fits_int64
+    assert not counting._keyer_for(5, 10, WIDE_QUARTIC).fits_int64
     array_runs.force()
     corrupt_weights(monkeypatch, move_one)
     with pytest.raises(RuntimeError, match="bookkeeping"):
@@ -451,7 +432,6 @@ def assert_table_peak_within_guard(k, X, shift):
         import tracemalloc
         tracemalloc.start()
         from shiftprod import counting, parse_shift
-        {ENUMERATE_EVERY_CELL}
         enumerate_rows = counting._enumerate_rows
         runs = []
         counting._enumerate_rows = lambda *args: runs.append(1) or enumerate_rows(*args)
@@ -472,27 +452,27 @@ def test_int64_table_peak_within_guard():
 
 def test_wide_table_peak_within_guard():
     # keys beyond int64 share the int64 path's guard; k=6 repeats the most values
-    assert not counting._keyer_for(6, 25, TRANS).fits_int64
-    assert_table_peak_within_guard(6, 25, TRANS)
+    assert not counting._keyer_for(6, 25, FIFTH_ROOT2).fits_int64
+    assert_table_peak_within_guard(6, 25, FIFTH_ROOT2)
 
 
 @pytest.mark.parametrize(
-    "k, X, text, tight",
+    "k, X, text, digits, tight",
     [
-        (3, 100, "minpoly:-2,0,1", False),  # 171,700 keys, short of a doubling
-        (3, 101, "minpoly:-2,0,1", True),  # 176,851 keys, just past one
-        (6, 20, "transcendental", True),  # just past one, and weights past 256
-        (4, 26, "rational:1/1000000000", True),  # just past one, 139-bit keys
+        (3, 100, "minpoly:-2,0,1", 2, False),  # 171,700 keys, short of a doubling
+        (3, 101, "minpoly:-2,0,1", 2, True),  # 176,851 keys, just past one
+        (6, 20, "minpoly:-2,0,0,0,0,1", 4, True),  # just past one, weights past 256
+        (4, 26, "rational:1/1000000000", 5, True),  # just past one, 139-bit keys
     ],
 )
-def test_dict_table_peak_within_guard(k, X, text, tight):
+def test_dict_table_peak_within_guard(k, X, text, digits, tight):
     # the guard's model of a dict's growth bounds the table's peak, and just
-    # past a doubling, where a table peaks highest per key, it is tight
+    # past a doubling, where a table peaks highest per key, it is tight; a
+    # key costs 4 B per 30-bit digit
     assert counting._numpy_for(k, X) is None
     code = f"""
         import tracemalloc
         from shiftprod import counting, parse_shift
-        {ENUMERATE_EVERY_CELL}
         shift = parse_shift("{text}")
         counting.build_product_table({k}, 3, shift)  # first-use caches
         needed = []
@@ -504,6 +484,7 @@ def test_dict_table_peak_within_guard(k, X, text, tight):
     """
     peak, needed = map(int, run_fresh(code).split())
     key_bits = counting._keyer_for(k, X, shiftprod.parse_shift(text)).key_bits
+    assert -(-key_bits // 30) == digits, key_bits
     assert needed == counting._dict_bytes(k, comb(X + k - 1, k), key_bits)
     assert peak <= needed, (peak, needed)
     if tight:
@@ -514,13 +495,12 @@ def guarded_peak(call, force):
     """The tracemalloc peak of one line of code and the byte figures the guard checked.
 
     Runs in a fresh process, traced from before numpy's import; `force` sends
-    every cell with k >= 2 to the array backend.
+    every enumerated cell to the array backend.
     """
     code = f"""
         import collections, tracemalloc
         tracemalloc.start()
         from shiftprod import counting, parse_shift, shifted_product
-        {ENUMERATE_EVERY_CELL}
         needed = []
         check_budget = counting._check_budget
         counting._check_budget = lambda n, *rest: needed.append(n) or check_budget(n, *rest)
@@ -563,19 +543,18 @@ def test_int64_cell_peaks_at_12_bytes_per_multiset(array_runs, settle_cell):
 
 def test_numpy_stays_unimported_off_the_array_backend():
     run_fresh(
-        f"""
+        """
         import sys
         import shiftprod.cli
         for name in ("numpy", "concurrent.futures.process", "multiprocessing"):
-            assert name not in sys.modules, f"import shiftprod.cli loaded {{name}}"
-        from shiftprod import Rational, Transcendental, count_mean_value, counting, parse_shift
+            assert name not in sys.modules, f"import shiftprod.cli loaded {name}"
+        from shiftprod import Rational, Transcendental, count_mean_value, parse_shift
         count_mean_value(2, 400, Rational(1, 2))
         assert "numpy" not in sys.modules, "a rat-k2 cell loaded numpy"
         count_mean_value(4, 10**6, Transcendental())
         count_mean_value(3, 10**5, parse_shift("minpoly:-2,0,0,1"))
         assert "numpy" not in sys.modules, "a cell the lemma settles loaded numpy"
-        {ENUMERATE_EVERY_CELL}
-        count_mean_value(4, 40, Transcendental())
+        count_mean_value(4, 40, parse_shift("minpoly:-2,0,0,1"))
         assert "numpy" not in sys.modules, "a small k=4 cell loaded numpy"
         """
     )

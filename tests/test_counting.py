@@ -26,6 +26,7 @@ from shiftprod import (
     elementary_symmetric,
     find_nondiagonal_witnesses,
     format_shift,
+    minimal_polynomial_for,
     parse_shift,
     representation_count,
     shifted_product,
@@ -38,6 +39,9 @@ SQRT2 = Algebraic(MinimalPolynomial([-2, 0, 1]))
 HALF = Rational(1, 2)
 HALF_SQRT2 = Algebraic(MinimalPolynomial([-1, 0, 2]))
 GAUSS = Algebraic(MinimalPolynomial([1, 0, 1]))
+CUBE_ROOT2 = Algebraic(MinimalPolynomial([-2, 0, 0, 1]))
+ZERO_FACTOR = Rational(-3, 1)  # the factor 3 + theta vanishes
+TINY = Rational(1, 10**9)
 VARIANTS = [Transcendental(), SQRT2, HALF, HALF_SQRT2, GAUSS]
 
 
@@ -306,20 +310,30 @@ class TestWitnesses:
 
     def test_lemma_settles_k_at_most_d(self, monkeypatch):
         # deg F <= k - 1 < d unless k > d, so m | F forces F = 0: the cells
-        # below are settled without a keyer, a backend or the capacity guard
+        # below are settled without a keyer, a backend or the capacity guard.
+        # One coordinate is such a cell for every shift, and every k is for
+        # a transcendental one.
         def never(*args):
             raise AssertionError("a cell with k <= d was enumerated")
 
         for name in ("_keyer_for", "_numpy_for", "_check_budget"):
             monkeypatch.setattr(counting, name, never)
-        cube_root2 = parse_shift("minpoly:-2,0,0,1")
-        for k, X, shift in [(3, 10**5, cube_root2), (2, 10**9, SQRT2), (1, 10**6, HALF)]:
+        one_coordinate = [
+            (1, X, shift)
+            for shift in (Transcendental(), SQRT2, HALF, ZERO_FACTOR, TINY)
+            for X in range(1, 13)
+        ]
+        every_k = [(k, X, Transcendental()) for k in range(2, 7) for X in range(1, 13)]
+        large = [(3, 10**5, CUBE_ROOT2), (2, 10**9, SQRT2), (1, 10**6, HALF)]
+        for k, X, shift in one_coordinate + every_k + large:
             assert counting._diagonal_only(k, shift)
             report = count_mean_value(k, X, shift, memory_budget_mb=1)
             assert report.mean_value == report.diagonal == diagonal_count_exact(k, X)
             assert report.distinct_products == comb(X + k - 1, k)
+            if k == 1:
+                assert report.mean_value == report.distinct_products == X
             assert list(find_nondiagonal_witnesses(k, X, shift, memory_budget_mb=1)) == []
-        assert not counting._diagonal_only(4, cube_root2)
+        assert not counting._diagonal_only(4, CUBE_ROOT2)
         assert not counting._diagonal_only(2, HALF)
 
     def test_rational_example(self):
@@ -422,18 +436,17 @@ class TestWitnesses:
             with pytest.raises(ValueError):
                 find_nondiagonal_witnesses(2, 8, HALF, limit=bad)
 
-    def test_tables_freed_without_cyclic_gc(self, monkeypatch):
+    def test_tables_freed_without_cyclic_gc(self):
         # reference counting alone must free every table a call drops, such
-        # as the witness search's pass-1 counts, or they outlive the call;
-        # the lemma would settle this cell without a table, so it is turned off
-        monkeypatch.setattr(counting, "_diagonal_only", lambda k, shift: False)
+        # as the witness search's pass-1 counts, or they outlive the call
+        assert counting._numpy_for(4, 40) is None  # the dict backend
         enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
         try:
             for settle in (count_mean_value, find_nondiagonal_witnesses):
                 before = tracemalloc.get_traced_memory()[0]
-                settle(4, 40, Transcendental())
+                settle(4, 40, CUBE_ROOT2)
                 assert tracemalloc.get_traced_memory()[0] - before < 1 << 20, settle
         finally:
             tracemalloc.stop()
@@ -472,7 +485,7 @@ class TestSolutionPair:
 
 
 class TestDeterminism:
-    CELLS = [(3, 25, SQRT2), (2, 40, HALF), (2, 20, Transcendental()), (3, 15, HALF_SQRT2)]
+    CELLS = [(3, 25, SQRT2), (2, 40, HALF), (4, 20, CUBE_ROOT2), (3, 15, HALF_SQRT2)]
 
     def test_reports_identical_across_repeated_calls(self):
         for k, X, shift in self.CELLS:
@@ -492,8 +505,8 @@ class TestDeterminism:
 
 
 KEYED_SHIFTS = [
-    Transcendental(),
     SQRT2,
+    CUBE_ROOT2,
     Algebraic(MinimalPolynomial([-1, -1, 0, 1])),
     parse_shift("minpoly:-3,0,2"),
 ] + [parse_shift(f"rational:{r}") for r in ("1/2", "3/2", "0", "-3", "-5/3")]
@@ -505,11 +518,12 @@ def test_walker_keys_encode_the_products(shift):
 
     Equal keys must mean equal products, so the keys group the multisets
     as `shifted_product` does, and each is the multiset's exact re-key.
+    Only cells with k > d are keyed, d being the minimal polynomial's degree.
     """
-    for k in range(1, 5):
+    for k in range(minimal_polynomial_for(shift).degree + 1, 5):
         X = 7 - k // 2
         keyer = counting._keyer_for(k, X, shift)
-        by_depth = {k - 1: []}
+        by_depth = {k - 1: [], k - 2: []}
 
         def last_one(state, prefix, last, den, run):
             a, b = state
@@ -524,9 +538,7 @@ def test_walker_keys_encode_the_products(shift):
             ]
 
         counting._walk(keyer, X, k - 1, last_one)
-        if k >= 2:
-            by_depth[k - 2] = []
-            counting._walk(keyer, X, k - 2, last_two)
+        counting._walk(keyer, X, k - 2, last_two)
         for rows in by_depth.values():
             assert len({m for m, _ in rows}) == len(rows) == comb(X + k - 1, k)
             by_key, by_product = {}, {}
