@@ -336,6 +336,28 @@ class TestWitnesses:
         assert not counting._diagonal_only(4, CUBE_ROOT2)
         assert not counting._diagonal_only(2, HALF)
 
+    def test_enumeration_reaches_only_k_over_d(self, monkeypatch):
+        # the keyer and the backend choice run exactly on the cells with
+        # k > d >= 1, so they always see k >= 2 and a minimal polynomial
+        reached = []
+        numpy_for = counting._numpy_for
+
+        def spy(k, X):
+            reached.append(k)
+            return numpy_for(k, X)
+
+        monkeypatch.setattr(counting, "_numpy_for", spy)
+        degrees = {HALF: 1, ZERO_FACTOR: 1, TINY: 1, SQRT2: 2, CUBE_ROOT2: 3}
+        for shift, d in [*degrees.items(), (Transcendental(), None)]:
+            for k in range(1, 5):
+                del reached[:]
+                count_mean_value(k, 5, shift)
+                list(find_nondiagonal_witnesses(k, 5, shift))
+                enumerated = d is not None and k > d
+                assert reached == ([k, k] if enumerated else []), (k, shift)
+        with pytest.raises(ValueError, match="no minimal polynomial"):
+            counting._keyer_for(2, 5, Transcendental())
+
     def test_rational_example(self):
         pairs = list(find_nondiagonal_witnesses(2, 7, HALF))
         assert SolutionPair((1, 7), (2, 4)) in pairs
