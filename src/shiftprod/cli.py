@@ -3,19 +3,23 @@
 Subcommands: count, scan, witness, lemma-check, contrast.  Each calls the
 engine directly: count, scan and contrast call `count_mean_value` once per
 cell, witness calls `find_nondiagonal_witnesses`, and lemma-check calls
-`verify_witness`, which cancels shared values itself, on chunks of its pairs,
-in a pool of forked workers when there are two chunks and two CPUs or more
-(see `_checked_chunks`).  `--format` (csv or json) applies to count, scan
-and contrast; witness and lemma-check always write JSON.  count, scan and
-contrast hand their rows to one writer, whose CSV takes its header from the
-first row's keys and whose JSON is `json.dumps(rows, indent=2)`; scan's JSON
-document, whose rows sit beside the exponent fit, is `json.dumps` too.
-witness and lemma-check stream their lists, which run to many thousands of
-records: each pair or report is filled straight into one cached template
-per record shape, byte-equal to `json.dumps(indent=2)`.  Exit codes: 0
-success / all checks pass, 1 usage or configuration error, 2 capacity
-(memory budget) error, 3 check failure (non-solution, failed identity, or
-diagonal input where a witness was required).
+`witness_identities`, the integer kernel behind `verify_witness`, which
+cancels shared values itself.  lemma-check holds its pairs flat in one
+integer array (`_Witnesses`) and checks them in spans of pairs; an input of
+`_POOL_MIN_PAIRS` pairs or more, with two spans and two CPUs or more, is
+checked in a pool of forked workers that read the array they inherit and
+are sent only each span's bounds (see `_checked_spans`).  `--format` (csv
+or json) applies to count, scan and contrast; witness and lemma-check
+always write JSON.  count, scan and contrast hand their rows to one writer,
+whose CSV takes its header from the first row's keys and whose JSON is
+`json.dumps(rows, indent=2)`; scan's JSON document, whose rows sit beside
+the exponent fit, is `json.dumps` too.  witness and lemma-check stream
+their lists, which run to many thousands of records: each pair or report is
+filled straight into one cached template per record shape, byte-equal to
+`json.dumps(indent=2)`.  Exit codes: 0 success / all checks pass, 1 usage
+or configuration error, 2 capacity (memory budget) error, 3 check failure
+(non-solution, failed identity, or diagonal input where a witness was
+required).
 """
 
 from __future__ import annotations
@@ -25,29 +29,31 @@ import collections
 import contextlib
 import csv
 import functools
-import gc
 import io
 import json
 import os
 import sys
+from array import array
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .counting import (
     DEFAULT_MEMORY_BUDGET_MB,
     CapacityError,
     SolutionPair,
+    canonical_sides,
     count_mean_value,
     find_nondiagonal_witnesses,
 )
 from .shifts import Transcendental, format_shift, minimal_polynomial_for, parse_shift
 from .verify import (
+    Identities,
     NotASolutionError,
     PreconditionViolationError,
-    WitnessReport,
     fit_growth_exponent,
+    identities_hold,
     max_ratio,
     reference_exponent,
-    verify_witness,
+    witness_identities,
 )
 
 EXIT_OK = 0
@@ -175,21 +181,11 @@ def _ratio_text(coeffs: Sequence[int], X: int, n: int) -> str:
 _REPORT_KEYS = ("x", "y", "F_coeffs", "psi_coeffs", "rho", "C_a", "C_b", "norm_ok", "lemma_ok")
 
 
-def _report_record(report: WitnessReport) -> str:
-    """The rendered record of `report.to_json_dict()`."""
-    x, y = report.pair.x, report.pair.y
-    f, psi, rho, X, k = report.f.coeffs, report.psi.coeffs, report.rho, report.x_cap, report.k
-    shape = (len(x), len(y), len(f), len(psi), len(rho), None, None, None, len(report.lemma_ok))
-    ratios = (_ratio_text(f, X, k), _ratio_text(psi, X, k - report.d))
-    bools = tuple(map(_JSON_BOOL.__getitem__, (report.norm_identity_ok, *report.lemma_ok)))
-    return _template(_REPORT_KEYS, shape) % (x + y + f + psi + rho + ratios + bools)
-
-
 def _json_list_text(records: Iterable[str]) -> Iterator[str]:
     """`json.dumps(indent=2)`'s framing of a list, around records already rendered.
 
     A record and the text before it are yielded apart, so a long record,
-    such as a chunk of lemma-check's records, is never copied.
+    such as a span of lemma-check's records, is never copied.
     """
     opening = "[\n"
     for record in records:
@@ -264,30 +260,73 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
-# A pair crosses to lemma-check's workers as the tuple of its sorted sides:
-# 1024 pairs at k=2 pickle and unpickle in about 0.35 ms as tuples, against
-# 1.5 ms as `SolutionPair`s and 3.7 ms as a slotted dataclass (Python 3.11).
 Sides = tuple[tuple[int, ...], tuple[int, ...]]
 
-# lemma-check verifies and renders its pairs in chunks, one task each.  A
-# chunk holds 1024 pairs, or a sixteenth of the input if that is fewer, but
-# no fewer than 256.  On rational:1/2 at k=2, X=400, chunks of 256 took
-# about 0.1 s longer than chunks of 1024 in a pool of two on a 2-core
-# machine.  A chunk's records are held as one text, about 440 B a pair at
-# k=2, against about 170 B for the pair's loaded tuples, so a small input
-# takes smaller chunks, whose text stays small beside the input.
-_CHUNK_PAIRS = 1024
-_MIN_CHUNK_PAIRS = 256
+# lemma-check verifies and renders its pairs in spans, one task each.  A
+# span holds 1024 pairs, or a sixteenth of the input if that is fewer, but
+# no fewer than 256.  On rational:1/2 at k=2, X=400, spans of 256 took
+# about 0.1 s longer than spans of 1024 in a pool of two on a 2-core
+# machine.  A span's records are held as one text, about 440 B a pair at
+# k=2, so a small input takes smaller spans, whose text stays small.
+_SPAN_PAIRS = 1024
+_MIN_SPAN_PAIRS = 256
+# Inputs of fewer pairs are checked in this process.  Whole commands on
+# rational:1/2, k=2 witness files, pinned to one CPU against a pool on two
+# (2-core x86-64 machine, medians of 10 alternating runs): the pool took
+# 1.27x as long at 411 pairs, 1.17x at 3,621, 1.05x at 6,886, 1.02x at
+# 9,008, 0.95x at 11,576 and 0.86x at 33,439.
+_POOL_MIN_PAIRS = 10_000
+
+
+class _Witnesses:
+    """Witness pairs held flat: the sides of every pair, one after another, in one sequence.
+
+    Pair i's entries are `entries[offsets[i]:offsets[i + 1]]`: its canonical
+    lower side x, then y, of the same length.  The entries are an
+    `array('q')` of 8 B each, and become a list only if one does not fit in
+    int64.  No Python object is held per pair, and reading an array's
+    buffer touches no reference count, so a forked worker reads the store
+    in place and its pages stay shared.
+    """
+
+    def __init__(self):
+        self.entries = array("q")
+        self.offsets = array("q", [0])
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def append(self, sides: Sides) -> None:
+        values = sides[0] + sides[1]
+        try:
+            self.entries.extend(values)
+        except OverflowError:  # an entry of 2^63 or more
+            del self.entries[self.offsets[-1]:]  # extend stops part way
+            self.entries = self.entries.tolist()
+            self.entries.extend(values)
+        self.offsets.append(len(self.entries))
+
+    def sides(self, start: int, stop: int) -> Iterator[Sides]:
+        """The sides (x, y) of pairs start to stop, as tuples."""
+        ends = self.offsets[start:stop + 1]
+        values = self.entries[ends[0]:ends[-1]]
+        if isinstance(values, array):
+            values = values.tolist()  # tuples are made fastest from list slices
+        lo = 0
+        for end in ends[1:]:
+            hi = end - ends[0]
+            mid = (lo + hi) >> 1
+            yield tuple(values[lo:mid]), tuple(values[mid:hi])
+            lo = hi
 
 
 def _witness_sides(entry) -> Sides:
-    """The canonical sides of one witness object, validated by `SolutionPair`."""
-    pair = SolutionPair(tuple(entry["x"]), tuple(entry["y"]))
-    return pair.x, pair.y
+    """The canonical sides of one witness object, validated by `SolutionPair`'s rules."""
+    return canonical_sides(tuple(entry["x"]), tuple(entry["y"]))
 
 
-def _parse_witnesses(text: str) -> list[Sides]:
-    """The canonical sides of the witnesses in a JSON array, parsed whole by `json.loads`.
+def _parse_witnesses(text: str) -> _Witnesses:
+    """The witnesses in a JSON array, parsed whole by `json.loads`.
 
     Raises the first fault of the text: a JSON syntax error, a value that is
     not an array, or an entry that is no valid witness.
@@ -295,105 +334,131 @@ def _parse_witnesses(text: str) -> list[Sides]:
     data = json.loads(text)
     if not isinstance(data, list):
         raise _UsageError("witness input must be a JSON array of {x, y} objects")
-    pairs = []
+    store = _Witnesses()
     for entry in data:
         try:
-            pairs.append(_witness_sides(entry))
+            store.append(_witness_sides(entry))
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad witness entry {entry!r}: {exc}") from None
-    return pairs
+    return store
 
 
-def _decode_witnesses(text: str) -> list[Sides]:
-    """`_parse_witnesses(text)` on well-formed input, each object made sides as it is parsed.
-
-    Every JSON object goes through `_witness_sides`, so only its sides are
-    ever kept.  Raises on anything that is not an array of valid witnesses,
-    without saying what: the caller reports the error `_parse_witnesses`
-    finds.
-    """
-    pairs = json.loads(text, object_hook=_witness_sides)
-    if not isinstance(pairs, list) or not all(type(pair) is tuple for pair in pairs):
-        raise ValueError("not an array of witnesses")
-    return pairs
+# What the decode hook of `_load_witnesses` leaves in place of each object: no
+# JSON value is this object, so an array of nothing else held only witnesses.
+_STORED = object()
 
 
-def _load_witnesses(path: Optional[str]) -> list[Sides]:
-    """The canonical sides `(x, y)` of each witness in a JSON array file (stdin: None or "-").
+def _load_witnesses(path: Optional[str]) -> _Witnesses:
+    """The witnesses of a JSON array file (stdin: None or "-"), held flat.
 
-    Each entry is validated by the `SolutionPair` constructor as it is
-    parsed, and only its sides are kept, so the whole array is never held as
-    parsed JSON.  The kept tuples are in no reference cycle, so the cyclic
-    collector pauses while they are built.  On any fault the text is parsed
-    again by `json.loads`, so that the error reported is the one a
-    whole-text parse meets first.
+    Each JSON object is validated and stored as it is parsed, so the array
+    is never held as parsed JSON.  The parse is kept only if it made an
+    array of nothing but stored objects, as many as the store holds: an
+    object nested in another is stored too, but is then no element of the
+    array.  On any fault the text is parsed again by `json.loads`, so that
+    the error reported is the one a whole-text parse meets first.
     """
     if path and path != "-":
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    enabled = gc.isenabled()
-    gc.disable()
+    store = _Witnesses()
+
+    def stored(entry) -> object:
+        store.append(_witness_sides(entry))
+        return _STORED
+
     try:
-        return _decode_witnesses(text)
+        decoded = json.loads(text, object_hook=stored)
     except Exception:  # whatever the fault, the whole-text parse names it
         return _parse_witnesses(text)
-    finally:
-        if enabled:
-            gc.enable()
+    if type(decoded) is list and decoded.count(_STORED) == len(decoded) == len(store):
+        return store
+    return _parse_witnesses(text)
 
 
-def _check_chunk(chunk: Sequence[Sides], m, x_cap: int) -> tuple[str, list[str]]:
-    """Verify and render a chunk of pairs: its records' text, and a stderr line per failure.
+def _report_record(identities: Identities, X: int, d: int) -> str:
+    """The rendered record of the `WitnessReport` that `identities` makes at this X and d."""
+    x, y, f, psi, rho, norm_ok, lemma_ok = identities
+    k = len(x)
+    shape = (k, len(y), len(f), len(psi), len(rho), None, None, None, len(lemma_ok))
+    ratios = (_ratio_text(f, X, k), _ratio_text(psi, X, k - d))
+    bools = tuple(map(_JSON_BOOL.__getitem__, (norm_ok, *lemma_ok)))
+    return _template(_REPORT_KEYS, shape) % (x + y + f + psi + rho + ratios + bools)
 
-    `verify_witness` is looked up in this module when the chunk runs, so a
+
+def _check_span(
+    store: _Witnesses, m, x_cap: int, start: int, stop: int
+) -> tuple[str, list[str]]:
+    """Verify and render pairs start to stop: their records' text, and a stderr line per failure.
+
+    `witness_identities` is looked up in this module when the span runs, so a
     replacement of it reaches forked workers too.
     """
+    d = m.degree
     records, errors = [], []
-    for x, y in chunk:
-        pair = SolutionPair._canonical(x, y)
+    for x, y in store.sides(start, stop):
         try:
-            report = verify_witness(pair, m, x_cap)
+            identities = witness_identities(x, y, m, x_cap)
         except (NotASolutionError, PreconditionViolationError) as exc:
             error = str(exc)
             template = _template(("x", "y", "error"), (len(x), len(y), None))
             records.append(template % (x + y + (_json_string(error),)))
         else:
-            error = None if report.all_ok else "identity check failed"
-            records.append(_report_record(report))
+            records.append(_report_record(identities, x_cap, d))
+            error = None if identities_hold(identities, d) else "identity check failed"
         if error is not None:
             errors.append(f"witness x={list(x)} y={list(y)}: {error}\n")
     return ",\n".join(records), errors
 
 
-@contextlib.contextmanager
-def _checked_chunks(pairs: list[Sides], m, x_cap: int):
-    """An iterator over `_check_chunk`'s result for each chunk of pairs, in input order.
+def _spans(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) pair ranges lemma-check checks as one task each."""
+    size = min(_SPAN_PAIRS, max(_MIN_SPAN_PAIRS, n // 16))
+    return [(i, min(i + size, n)) for i in range(0, n, size)]
 
-    With two or more chunks and two or more usable CPUs, the chunks run in a
-    pool of forked workers, one per CPU up to one per chunk; otherwise they
-    run in this process.  A worker that dies, killed or by `os._exit`, fails
-    the iterator with `BrokenProcessPool`.  On leaving the block the pool
-    cancels the chunks not yet started and joins its workers.
+
+# A forked worker's (store, m, x_cap), which it inherits as it starts.
+_worker_job: tuple = ()
+
+
+def _start_worker(*job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _check_in_worker(span: tuple[int, int]) -> tuple[str, list[str]]:
+    return _check_span(*_worker_job, *span)
+
+
+@contextlib.contextmanager
+def _checked_spans(store: _Witnesses, m, x_cap: int, spans: list[tuple[int, int]]):
+    """An iterator over `_check_span`'s result for each span of pairs, in input order.
+
+    With `_POOL_MIN_PAIRS` pairs or more, two or more spans and two or more
+    usable CPUs, the spans run in a pool of forked workers, one per CPU up
+    to one per span; otherwise they run in this process.  A worker inherits
+    the store as it is forked, and each task it is sent is one span's
+    (start, stop), so no pair is pickled.  A worker that dies, killed or by
+    `os._exit`, fails the iterator with `BrokenProcessPool`.  On leaving the
+    block the pool cancels the spans not yet started and joins its workers.
     """
-    size = min(_CHUNK_PAIRS, max(_MIN_CHUNK_PAIRS, len(pairs) // 16))
-    starts = range(0, len(pairs), size)
-    chunks = (pairs[i:i + size] for i in starts)
-    check = functools.partial(_check_chunk, m=m, x_cap=x_cap)
     # without an affinity mask to read (as on macOS and Windows), one process
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(starts))
+    workers = min(cpus, len(spans)) if len(store) >= _POOL_MIN_PAIRS else 1
     if workers < 2:
-        yield map(check, chunks)
+        yield (_check_span(store, m, x_cap, *span) for span in spans)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    # forked, the workers receive the initializer's arguments unpickled
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(store, m, x_cap))
     try:
-        # one chunk waits queued, so a worker that finishes starts the next at once
-        yield _in_order(pool, check, chunks, workers + 1)
+        # one span waits queued, so a worker that finishes starts the next at once
+        yield _in_order(pool, _check_in_worker, spans, workers + 1)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -402,7 +467,7 @@ def _in_order(pool, fn, items: Iterable, ahead: int) -> Iterator:
     """`fn(item)` for each item, run by the pool and yielded in order.
 
     At most `ahead` items are submitted and not yet yielded, so at most
-    `ahead` results, each a chunk's text, are held at once.
+    `ahead` results, each a span's text, are held at once.
     """
     pending = collections.deque()
     for item in items:
@@ -420,20 +485,23 @@ def _cmd_lemma_check(args) -> int:
     m = minimal_polynomial_for(shift)
     if args.X is not None and args.X < 1:
         raise _UsageError(f"X must be an integer >= 1, got {args.X}")
-    pairs = _load_witnesses(args.infile)
-    # sides are sorted, so a side's last entry is its largest
+    store = _load_witnesses(args.infile)
+    spans = _spans(len(store))
     x_cap = args.X
     if x_cap is None:
-        x_cap = max((side[-1] for pair in pairs for side in pair if side), default=1)
-    # verify_witness raises ValueError on a cancelled pair with an entry above
-    # the cap; that pair is found before the first record, so none is written
-    for x, y in pairs:
-        if x and max(x[-1], y[-1]) > x_cap:
-            with contextlib.suppress(NotASolutionError, PreconditionViolationError):
-                verify_witness(SolutionPair._canonical(x, y), m, x_cap)
+        x_cap = max(store.entries, default=1)
+    # witness_identities raises ValueError on a cancelled pair with an entry
+    # above the cap; that pair is found before the first record, so none is
+    # written.  Sides are sorted, so a side's last entry is its largest.
+    elif max(store.entries, default=1) > x_cap:
+        for span in spans:
+            for x, y in store.sides(*span):
+                if x and max(x[-1], y[-1]) > x_cap:
+                    with contextlib.suppress(NotASolutionError, PreconditionViolationError):
+                        witness_identities(x, y, m, x_cap)
     failures = 0
 
-    with _checked_chunks(pairs, m, x_cap) as results:
+    with _checked_spans(store, m, x_cap, spans) as results:
         def records() -> Iterator[str]:
             nonlocal failures
             for text, errors in results:

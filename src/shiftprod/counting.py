@@ -109,9 +109,13 @@ DEFAULT_MEMORY_BUDGET_MB = 2048
 _DICT_BYTES_PER_SLOT = 30
 _BYTES_PER_KEY_SLACK = 8
 _BYTES_PER_LARGE_WEIGHT = 28
-# The array backend pays for importing numpy (0.13-0.17 s) only on cells at
-# least this big.
-_ARRAY_MIN_MULTISETS = 1 << 20
+# The array backend pays for importing numpy (0.06-0.12 s) only on cells at
+# least this big.  Whole commands, medians of 8 alternating runs on a 2-core
+# x86-64 machine, array backend against dict walk: count took 1.11x as long
+# at k=3, X=100 (171,700 multisets), 0.89x at X=115 (260,130) and 0.70x at
+# X=130 (374,660), and 1.02x at k=2, X=730 (266,815); witness 1.19x, 0.77x,
+# 0.55x and 0.96x on the same cells.
+_ARRAY_MIN_MULTISETS = 1 << 18
 # Peak bytes of the array backend, by tracemalloc (which sees numpy buffers).
 # It holds the words (8 B) and weights (1 B, 2 at k = 6) of every multiset,
 # and for each multiset that repeats a value, comb(X+k-1, k) - comb(X, k) of
@@ -920,6 +924,24 @@ def diagonal_count_exact(k: int, X: int) -> int:
     return total
 
 
+def canonical_sides(
+    x: tuple[int, ...], y: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sides of a witness pair, validated, each sorted, and ordered x <= y.
+
+    Raises ValueError unless both sides have the same length and every entry
+    is an integer >= 1 (not a bool).
+    """
+    if len(x) != len(y):
+        raise ValueError("witness sides must have the same length")
+    for v in x + y:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"witness entries must be integers >= 1, got {v!r}")
+    x = tuple(sorted(x))
+    y = tuple(sorted(y))
+    return (y, x) if y < x else (x, y)
+
+
 @dataclasses.dataclass(frozen=True)
 class SolutionPair:
     """An unordered witness pair: two multisets with equal shifted products.
@@ -932,15 +954,7 @@ class SolutionPair:
     y: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("witness sides must have the same length")
-        for v in self.x + self.y:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"witness entries must be integers >= 1, got {v!r}")
-        x = tuple(sorted(self.x))
-        y = tuple(sorted(self.y))
-        if y < x:
-            x, y = y, x
+        x, y = canonical_sides(self.x, self.y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -974,11 +988,19 @@ def cancel_common_factors(pair: SolutionPair) -> SolutionPair:
     """
     if set(pair.x).isdisjoint(pair.y):
         return pair
-    cx = Counter(pair.x)
-    cy = Counter(pair.y)
-    x = tuple(sorted((cx - cy).elements()))
-    y = tuple(sorted((cy - cx).elements()))
-    return SolutionPair._canonical(x, y)
+    return SolutionPair._canonical(*cancelled_sides(pair.x, pair.y))
+
+
+def cancelled_sides(
+    x: tuple[int, ...], y: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sides with the values they share removed, each still sorted.
+
+    Canonical sides (x <= y) stay canonical, as `cancel_common_factors` says.
+    """
+    cx = Counter(x)
+    cy = Counter(y)
+    return tuple(sorted((cx - cy).elements())), tuple(sorted((cy - cx).elements()))
 
 
 def find_nondiagonal_witnesses(

@@ -267,6 +267,112 @@ def _factor(f: Poly, e: int) -> Optional[tuple[Poly, Poly]]:
     return walk([], [])
 
 
+# The primes whose factor-degree patterns `_split_degrees` reads.
+_PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+                   79, 83, 89, 97)
+
+
+def _split_degrees(f: Sequence[int]) -> list[int]:
+    """The degrees e <= d // 2 at which f (primitive, degree d) may have an integer factor.
+
+    Over a prime p that does not divide f's leading coefficient and modulo
+    which f is squarefree, f splits into irreducible factors of known
+    degrees (distinct-degree factorisation), and a factor of f over the
+    integers reduces to a product of some of them.  So its degree is a sum
+    of a subset of that pattern, at every such prime below 100.  This rules
+    degrees out without evaluating f, whose values Kronecker's search must
+    factor.
+    """
+    d = len(f) - 1
+    allowed = set(range(1, d // 2 + 1))
+    for p in _PATTERN_PRIMES:
+        if not allowed:
+            break
+        pattern = _degree_pattern(f, p)
+        if pattern is not None:
+            sums = {0}
+            for e in pattern:
+                sums |= {s + e for s in sums}
+            allowed &= sums
+    return sorted(allowed)
+
+
+def _degree_pattern(f: Sequence[int], p: int) -> Optional[list[int]]:
+    """The degrees of the irreducible factors of f mod p, or None if p | c_d or f mod p is not squarefree."""
+    if not f[-1] % p:
+        return None
+    inv = pow(f[-1], -1, p)
+    g = [c * inv % p for c in f]  # monic
+    derivative = _trim([i * c % p for i, c in enumerate(g)][1:])
+    if len(_gcd_mod(g, derivative, p)) > 1:
+        return None
+    pattern = []
+    power = [0, 1]  # t^(p^i) mod g
+    i = 0
+    while 2 * (i + 1) <= len(g) - 1:
+        i += 1
+        power = _power_mod(power, p, g, p)
+        moved = power + [0] * (2 - len(power))  # t^(p^i) - t
+        moved[1] -= 1
+        common = _gcd_mod(g, _trim([c % p for c in moved]), p)
+        if len(common) > 1:  # the product of g's factors of degree i
+            pattern += [i] * ((len(common) - 1) // i)
+            g = _divmod_mod(g, common, p)[0]
+            power = _divmod_mod(power, g, p)[1]
+    if len(g) > 1:
+        pattern.append(len(g) - 1)
+    return pattern
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b != 0 over the integers mod p, constant first."""
+    rem = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q = rem[i] * inv % p
+        if q:
+            quot[i - db] = q
+            for j, c in enumerate(b):
+                rem[i - db + j] = (rem[i - db + j] - q * c) % p
+    return _trim(quot), _trim(rem[:db])
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b mod p ([] when both are zero)."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else a
+
+
+def _power_mod(a: list[int], n: int, g: list[int], p: int) -> list[int]:
+    """a^n mod g, over the integers mod p, for n >= 1."""
+    result = [1]
+    while True:
+        if n & 1:
+            result = _mul_mod(result, a, g, p)
+        n >>= 1
+        if not n:
+            return result
+        a = _mul_mod(a, a, g, p)
+
+
+def _mul_mod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a * b mod g, over the integers mod p."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] += c * e
+    return _divmod_mod([c % p for c in out], g, p)[1]
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class MinimalPolynomial:
     """Primitive integer minimal polynomial of an algebraic shift.
@@ -296,7 +402,7 @@ class MinimalPolynomial:
             raise ValueError("minimal polynomial must have degree >= 1")
         content = Poly(cs).content() * (1 if cs[-1] > 0 else -1)
         f = Poly([c // content for c in cs])
-        for e in range(1, f.degree // 2 + 1):
+        for e in _split_degrees(f.coeffs):
             split = _factor(f, e)
             if split:
                 raise ValueError(f"{f} = ({split[0]})({split[1]}), so it is reducible")

@@ -23,16 +23,18 @@ non-diagonal counts from count reports.  The suprema that play the role of
 the implicit constants are the max of the per-witness C_a and C_b over a
 corpus, which a caller takes itself.
 
-`verify_witness` is an integer kernel: F comes from the two elementary
-symmetric vectors as a `Poly` of ints built without re-validation, Psi from
+One integer kernel, `witness_identities`, checks a pair on plain ints and
+tuples: F comes from the two elementary symmetric vectors, Psi from
 synthetic division on ints, and each m(-y_j) is evaluated once by Horner's
 rule and serves both the k identities and the norm identity.  Only a
 non-solution leaves the integers: its division falls back to the rational
-`divmod` of `Poly`, whose remainder the error reports.  A `WitnessReport`
-holds F, Psi, rho and the verdicts; the ratio maxima C_a and C_b are derived
-from F, Psi and X when read.  The ratios of one polynomial share the
-denominator X^n (n = k or k - d), so the largest is found in the integers as
-the largest |c_j| * X^j and reduced by one gcd (`max_ratio`); the
+`divmod` of `Poly`, whose remainder the error reports.  `verify_witness`
+wraps the kernel's result in a `WitnessReport`, which holds F, Psi, rho and
+the verdicts; the ratio maxima C_a and C_b are derived from F, Psi and X
+when read.  The CLI's lemma-check renders the kernel's result directly,
+with no `Poly` or report per pair.  The ratios of one polynomial share the
+denominator X^n (n = k or k - d), so the largest is found in the integers
+as the largest |c_j| * X^j and reduced by one gcd (`max_ratio`); the
 `Fraction` properties and the CLI's report text both come from it.
 """
 
@@ -43,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .counting import CountReport, SolutionPair, cancel_common_factors
+from .counting import CountReport, SolutionPair, cancelled_sides
 from .polynomials import MinimalPolynomial, Poly, elementary_symmetric
 from .shifts import Shift, Transcendental, minimal_polynomial_for
 
@@ -80,29 +82,15 @@ def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
     A nonzero remainder means the pair that produced f is not a solution for
     this shift.  A divisible f with non-integer quotient cannot happen for a
     primitive m and integral f; it is reported as an invariant violation.
-    Synthetic division runs on the ints while each step divides exactly; at
-    the first step that does not, or on a nonzero remainder, one `divmod`
-    over the rationals finds the remainder the error reports.
+    Synthetic division runs on the ints while each step divides exactly
+    (`_int_quotient`); when it does not, one `divmod` over the rationals finds
+    the remainder the error reports.
     """
     if not f:
         raise ValueError("the difference polynomial must be nonzero")
-    mc = m.coeffs
-    d = len(mc) - 1
-    lead = mc[d]
-    rem = list(f.coeffs)
-    quotient = [0] * (len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                break  # the quotient leaves the integers
-            quotient[i - d] = q
-            for j in range(d):
-                rem[i - d + j] -= q * mc[j]
-    else:
-        if not any(rem[:d]):
-            return Poly._of_ints(quotient)
+    quotient = _int_quotient(f.coeffs, m.coeffs)
+    if quotient is not None:
+        return Poly._of_ints(quotient)
     # f is no multiple of m in Z[t]: the division over Q finds what to report
     quotient, remainder = divmod(f, m.poly)
     if remainder:
@@ -114,6 +102,28 @@ def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
             f"non-integral quotient {quotient} despite primitive {m.poly}"
         )
     return quotient
+
+
+def _int_quotient(f: Sequence[int], mc: Sequence[int]) -> Optional[list[int]]:
+    """The quotient f / m by synthetic division on ints (constant first), or None.
+
+    None when m does not divide f in Z[t]: at the first step whose division
+    by m's leading coefficient is not exact, or on a nonzero remainder.
+    """
+    d = len(mc) - 1
+    lead = mc[d]
+    rem = list(f)
+    quotient = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                return None
+            quotient[i - d] = q
+            for j in range(d):
+                rem[i - d + j] -= q * mc[j]
+    return None if any(rem[:d]) else quotient
 
 
 def _at_negatives(coeffs: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
@@ -145,16 +155,9 @@ def max_ratio(coeffs: Sequence[int], X: int, n: int) -> tuple[int, int]:
     return top // g, den // g
 
 
-def norm_identity_check(
-    pair: SolutionPair, m: MinimalPolynomial, m_at_y: Optional[Sequence[int]] = None
-) -> bool:
-    """Whether prod m(-x_i) = prod m(-y_i); false signals a non-solution.
-
-    `m_at_y`, if given, holds the values m(-y_i) already evaluated.
-    """
-    if m_at_y is None:
-        m_at_y = _at_negatives(m.coeffs, pair.y)
-    return math.prod(_at_negatives(m.coeffs, pair.x)) == math.prod(m_at_y)
+def norm_identity_check(pair: SolutionPair, m: MinimalPolynomial) -> bool:
+    """Whether prod m(-x_i) = prod m(-y_i); false signals a non-solution."""
+    return math.prod(_at_negatives(m.coeffs, pair.x)) == math.prod(_at_negatives(m.coeffs, pair.y))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,6 +216,88 @@ class WitnessReport:
         }
 
 
+# The fields of `witness_identities`' result, in order.
+Identities = tuple[
+    tuple[int, ...],  # x, the cancelled pair's lower side
+    tuple[int, ...],  # y
+    tuple[int, ...],  # F's coefficients, constant first
+    tuple[int, ...],  # Psi's coefficients
+    tuple[int, ...],  # rho_j = Psi(-y_j)
+    bool,  # the norm identity holds
+    tuple[bool, ...],  # the k lemma identities hold, one per y_j
+]
+
+
+def identities_hold(identities: Identities, d: int) -> bool:
+    """`WitnessReport.all_ok` of a `witness_identities` result, for a minimal polynomial of degree d."""
+    x, _, _, psi, _, norm_ok, lemma_ok = identities
+    return all(lemma_ok) and norm_ok and len(psi) <= len(x) - d
+
+
+def witness_identities(
+    x: tuple[int, ...], y: tuple[int, ...], m: MinimalPolynomial, X: int
+) -> Identities:
+    """Every factorization identity of one witness, computed on plain ints and tuples.
+
+    `x` and `y` are a pair's canonical sides: each sorted, x <= y.  Values
+    shared between them are cancelled first, and the result describes the
+    cancelled pair.  F comes from the two elementary symmetric vectors, Psi
+    from synthetic division by m, and each m(-y_j) is evaluated once by
+    Horner's rule and serves both the k identities and the norm identity.
+    Raises as `verify_witness` does; a non-solution's error comes from
+    `factor_out_minpoly`, whose division over the rationals finds the
+    remainder.
+    """
+    if not set(x).isdisjoint(y):
+        x, y = cancelled_sides(x, y)
+    k = len(x)
+    mc = m.coeffs
+    d = len(mc) - 1
+    if x == y:
+        raise PreconditionViolationError("diagonal after cancellation")
+    if k <= d:
+        raise PreconditionViolationError(
+            f"k={k} must exceed the minimal-polynomial degree d={d}"
+        )
+    if X < max(x[-1], y[-1]):
+        raise ValueError(f"X={X} is below the largest witness entry")
+    # elementary_symmetric lists the coefficients highest power first, and
+    # the monic leading terms cancel
+    ex = elementary_symmetric(x)
+    ey = elementary_symmetric(y)
+    f = [ex[j] - ey[j] for j in range(k, 0, -1)]
+    while not f[-1]:  # x != y, so F is nonzero
+        f.pop()
+    psi = _int_quotient(f, mc)
+    if psi is None:  # no multiple of m in Z[t]: this raises, naming the remainder
+        psi = factor_out_minpoly(Poly._of_ints(f), m).coeffs
+    # Horner's rule, inlined: on k = 2 pairs it takes about a fifth of the
+    # kernel's time off, against calls to _at_negatives
+    m_top = mc[::-1]
+    psi_top = psi[::-1]
+    rho, lemma_ok = [], []
+    norm_y = 1
+    for yj in y:
+        m_yj = rho_j = 0
+        for c in m_top:
+            m_yj = c - m_yj * yj
+        for c in psi_top:
+            rho_j = c - rho_j * yj
+        lhs = 1
+        for xi in x:
+            lhs *= xi - yj
+        rho.append(rho_j)
+        norm_y *= m_yj
+        lemma_ok.append(lhs == rho_j * m_yj and rho_j != 0 and m_yj != 0)
+    norm_x = 1
+    for xi in x:
+        m_xi = 0
+        for c in m_top:
+            m_xi = c - m_xi * xi
+        norm_x *= m_xi
+    return x, y, tuple(f), tuple(psi), tuple(rho), norm_x == norm_y, tuple(lemma_ok)
+
+
 def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessReport:
     """Check every factorization identity on a witness, after cancellation.
 
@@ -221,34 +306,14 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
     Preconditions on that pair: it is not diagonal, entries lie in [1, X],
     and k > d (a genuine fully-cancelled solution always has k > d, since
     degree-d shifts admit no non-diagonal solutions at k <= d).  Raises
-    NotASolutionError when the pair does not solve the equation.
+    NotASolutionError when the pair does not solve the equation.  The
+    identities come from `witness_identities`.
     """
-    pair = cancel_common_factors(pair)
-    x, y = pair.x, pair.y
-    k = len(x)
-    d = m.degree
-    if x == y:
-        raise PreconditionViolationError("diagonal after cancellation")
-    if k <= d:
-        raise PreconditionViolationError(
-            f"k={k} must exceed the minimal-polynomial degree d={d}"
-        )
-    if X < max(x + y):
-        raise ValueError(f"X={X} is below the largest witness entry")
-
-    f = product_difference(x, y)
-    psi = factor_out_minpoly(f, m)
-    rho = _at_negatives(psi.coeffs, y)
-    m_at_y = _at_negatives(m.coeffs, y)
-    lemma_ok = []
-    for yj, rho_j, m_at in zip(y, rho, m_at_y):
-        lhs = 1
-        for xi in x:
-            lhs *= xi - yj
-        lemma_ok.append(lhs == rho_j * m_at and rho_j != 0 and m_at != 0)
+    x, y, f, psi, rho, norm_ok, lemma_ok = witness_identities(pair.x, pair.y, m, X)
     # positional: keywords cost a frozen dataclass about 1 us more per report
     return WitnessReport(
-        pair, m, X, f, psi, rho, norm_identity_check(pair, m, m_at_y), tuple(lemma_ok)
+        SolutionPair._canonical(x, y), m, X, Poly._of_ints(list(f)), Poly._of_ints(list(psi)),
+        rho, norm_ok, lemma_ok,
     )
 
 

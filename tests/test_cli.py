@@ -1,7 +1,8 @@
 """End-to-end CLI behaviour: formats, round trips, exit codes."""
 
+import array
 import collections
-import dataclasses
+import functools
 import io
 import json
 import multiprocessing
@@ -37,8 +38,15 @@ from shiftprod import (
     verify_witness,
 )
 import shiftprod
+from shiftprod.verify import PreconditionViolationError, witness_identities
 from shiftprod import cli
 from shiftprod.cli import _load_witnesses, _pair_record, _report_record, main
+
+
+def first_identity_fails(x, y, m, X):
+    """`witness_identities`, but with the first of the k lemma identities failed."""
+    *fields, lemma_ok = witness_identities(x, y, m, X)
+    return (*fields, (False,) + lemma_ok[1:])
 
 
 def run(capsys, *args):
@@ -294,11 +302,7 @@ class TestWitnessAndLemmaCheck:
         assert run(capsys, *cmd) == (0, SHARED_VALUE_REPORT, "")
 
     def test_failed_identity_exits_3_and_still_reports(self, capsys, monkeypatch, tmp_path):
-        def first_identity_fails(pair, m, X):
-            report = verify_witness(pair, m, X)
-            return dataclasses.replace(report, lemma_ok=(False,) + report.lemma_ok[1:])
-
-        monkeypatch.setattr("shiftprod.cli.verify_witness", first_identity_fails)
+        monkeypatch.setattr("shiftprod.cli.witness_identities", first_identity_fails)
         path = tmp_path / "w.json"
         path.write_text(json.dumps([{"x": [1, 7], "y": [2, 4]}, {"x": [1, 4], "y": [2, 6]}]))
         code, out, err = run(capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path))
@@ -320,13 +324,15 @@ TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "日本", "\u2028", "😀
 
 
 def assert_error_record_equals_json_dumps(message):
-    """An error record, which `_check_chunk` fills with `_json_string`, is `json.dumps`'s text."""
-    def fails(pair, m, X):
+    """An error record, which `_check_span` fills with `_json_string`, is `json.dumps`'s text."""
+    def fails(x, y, m, X):
         raise NotASolutionError(message)
 
     m = minimal_polynomial_for(parse_shift("rational:1/2"))
-    with mock.patch.object(cli, "verify_witness", fails):
-        text, errors = cli._check_chunk([((1, 7), (2, 4))], m, 7)
+    store = cli._Witnesses()
+    store.append(((1, 7), (2, 4)))
+    with mock.patch.object(cli, "witness_identities", fails):
+        text, errors = cli._check_span(store, m, 7, 0, 1)
     expected = [{"x": [1, 7], "y": [2, 4], "error": message}]
     assert "".join(cli._json_list_text([text])) == json.dumps(expected, indent=2) + "\n"
     assert errors == [f"witness x=[1, 7] y=[2, 4]: {message}\n"]
@@ -388,9 +394,14 @@ def witness_reports(draw):
 ))
 def test_rendered_witness_records_equal_json_dumps(record):
     # witness and lemma-check fill a template per record shape, not to_json_dict
-    render = _report_record if isinstance(record, WitnessReport) else _pair_record
+    if isinstance(record, WitnessReport):
+        identities = (record.pair.x, record.pair.y, record.f.coeffs, record.psi.coeffs,
+                      record.rho, record.norm_identity_ok, record.lemma_ok)
+        rendered = _report_record(identities, record.x_cap, record.d)
+    else:
+        rendered = _pair_record(record)
     expected = json.dumps([record.to_json_dict()], indent=2) + "\n"
-    assert "".join(cli._json_list_text([render(record)])) == expected
+    assert "".join(cli._json_list_text([rendered])) == expected
 
 
 @pytest.mark.parametrize("k, X, text", [(2, 40, "rational:1/2"), (3, 30, "minpoly:-2,0,1")])
@@ -508,31 +519,46 @@ def test_lemma_check_accepts_every_witness(k, X, shift):
         assert main(["lemma-check", *cell[2:], "--in", witnesses, "--out", reports]) == 0
 
 
-def force_pool(monkeypatch, pairs_per_chunk=2):
-    """Send lemma-check's chunks of `pairs_per_chunk` pairs to a pool of two forked workers.
+def force_pool(monkeypatch, pairs_per_span=2):
+    """Send lemma-check's spans of `pairs_per_span` pairs to a pool of two forked workers.
 
-    Returns the list of pools handed chunks, one entry per command run, so a
+    Returns the list of pools handed spans, one entry per command run, so a
     test can tell that the pool ran.
     """
-    monkeypatch.setattr(cli, "_CHUNK_PAIRS", pairs_per_chunk)
+    monkeypatch.setattr(cli, "_SPAN_PAIRS", pairs_per_span)
+    monkeypatch.setattr(cli, "_POOL_MIN_PAIRS", 0)
+    return spy_on_pool(monkeypatch)
+
+
+def spy_on_pool(monkeypatch):
+    """Pretend to two CPUs, and list the pools lemma-check hands spans, one per command run.
+
+    Each task sent to a worker must be one span, a (start, stop) of ints: the
+    pairs themselves reach the workers by fork, not by pickle.
+    """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     calls = []
     in_order = cli._in_order
-    monkeypatch.setattr(cli, "_in_order",
-                        lambda pool, *args: calls.append(pool) or in_order(pool, *args))
+
+    def spy(pool, fn, spans, ahead):
+        assert all(type(a) is type(b) is int for a, b in spans), spans
+        calls.append(pool)
+        return in_order(pool, fn, spans, ahead)
+
+    monkeypatch.setattr(cli, "_in_order", spy)
     return calls
 
 
-def lemma_check_both_ways(capsys, monkeypatch, *args, pairs_per_chunk=2, chunks=2):
+def lemma_check_both_ways(capsys, monkeypatch, *args, pairs_per_span=2, spans=2):
     """lemma-check's (exit code, stdout, stderr) in this process, then from the pool.
 
-    With `chunks` below 2 there is nothing to share out, and the second run
+    With `spans` below 2 there is nothing to share out, and the second run
     must stay in this process too.
     """
     in_process = run(capsys, "lemma-check", *args)
-    calls = force_pool(monkeypatch, pairs_per_chunk)
+    calls = force_pool(monkeypatch, pairs_per_span)
     pooled = run(capsys, "lemma-check", *args)
-    assert len(calls) == (chunks >= 2), "the pool ran" if calls else "the pool did not run"
+    assert len(calls) == (spans >= 2), "the pool ran" if calls else "the pool did not run"
     assert multiprocessing.active_children() == []
     return in_process, pooled
 
@@ -546,7 +572,7 @@ WITNESS_CELLS = [
 
 
 class TestLemmaCheckPool:
-    """Chunks checked in forked workers give the in-process output, byte for byte."""
+    """Spans checked in forked workers give the in-process output, byte for byte."""
 
     @pytest.mark.parametrize("k, X, shift", WITNESS_CELLS)
     def test_witness_cells(self, capsys, monkeypatch, tmp_path, k, X, shift):
@@ -556,7 +582,7 @@ class TestLemmaCheckPool:
         pairs = len(json.loads((tmp_path / "w.json").read_text()))
         in_process, pooled = lemma_check_both_ways(
             capsys, monkeypatch, "--shift", shift, "--X", str(X), "--in", witnesses,
-            pairs_per_chunk=1, chunks=pairs)
+            pairs_per_span=1, spans=pairs)
         assert in_process[0] == 0 and in_process == pooled
 
     def test_zero_factor_cell(self, capsys, monkeypatch, tmp_path):
@@ -565,21 +591,17 @@ class TestLemmaCheckPool:
         cell = ("--X", "6", "--shift", "rational:-3")
         assert main(["witness", "--k", "2", *cell, "--out", witnesses]) == 0
         in_process, pooled = lemma_check_both_ways(
-            capsys, monkeypatch, *cell, "--in", witnesses, pairs_per_chunk=3)
+            capsys, monkeypatch, *cell, "--in", witnesses, pairs_per_span=3)
         assert in_process[0] == 3 and in_process == pooled
         assert len(in_process[2].splitlines()) == 15
 
     def test_failed_identity(self, capsys, monkeypatch, tmp_path):
         # the replacement is looked up in shiftprod.cli, so forked workers see it
-        def first_identity_fails(pair, m, X):
-            report = verify_witness(pair, m, X)
-            return dataclasses.replace(report, lemma_ok=(False,) + report.lemma_ok[1:])
-
-        monkeypatch.setattr("shiftprod.cli.verify_witness", first_identity_fails)
+        monkeypatch.setattr("shiftprod.cli.witness_identities", first_identity_fails)
         path = tmp_path / "w.json"
         path.write_text(json.dumps([{"x": [1, 7], "y": [2, 4]}, {"x": [1, 4], "y": [2, 6]}]))
         in_process, pooled = lemma_check_both_ways(
-            capsys, monkeypatch, "--shift", "rational:1/2", "--in", str(path), pairs_per_chunk=1)
+            capsys, monkeypatch, "--shift", "rational:1/2", "--in", str(path), pairs_per_span=1)
         assert in_process[0] == 3 and in_process == pooled
         assert in_process[2].startswith("witness x=[1, 7] y=[2, 4]: identity check failed\n")
 
@@ -614,7 +636,7 @@ class TestLemmaCheckPool:
     def test_malformed_input_writes_nothing(self, capsys, monkeypatch, tmp_path, text, err):
         path, out = tmp_path / "w.json", tmp_path / "r.json"
         path.write_text(text)
-        force_pool(monkeypatch, pairs_per_chunk=1)
+        force_pool(monkeypatch, pairs_per_span=1)
         cmd = ("lemma-check", "--shift", "rational:1", "--X", "6", "--in", str(path))
         assert run(capsys, *cmd) == (1, "", f"error: {err}\n")
         assert run(capsys, *cmd, "--out", str(out)) == (1, "", f"error: {err}\n")
@@ -629,12 +651,12 @@ class TestLemmaCheckPool:
         assert main(cmd) == 0
         assert multiprocessing.active_children() == []
 
-        def fails_on_one_pair(pair, m, X):
-            if pair.x == (1, 7):
+        def fails_on_one_pair(x, y, m, X):
+            if x == (1, 7):
                 raise RuntimeError("no report for this pair")
-            return verify_witness(pair, m, X)
+            return witness_identities(x, y, m, X)
 
-        monkeypatch.setattr("shiftprod.cli.verify_witness", fails_on_one_pair)
+        monkeypatch.setattr("shiftprod.cli.witness_identities", fails_on_one_pair)
         with pytest.raises(RuntimeError, match="no report for this pair"):
             main(cmd)
         assert multiprocessing.active_children() == []
@@ -642,22 +664,24 @@ class TestLemmaCheckPool:
 
     def test_a_dying_worker_fails_the_command(self, tmp_path):
         # a worker that ends without raising, as when the OOM killer picks it,
-        # must fail the command rather than leave it waiting for its chunk
+        # must fail the command rather than leave it waiting for its span
         path = tmp_path / "w.json"
         assert main(["witness", "--k", "2", "--X", "12", "--shift", "rational:1/2",
                      "--out", str(path)]) == 0
         code, _, err = fresh_python(f"""
             import multiprocessing, os, sys
-            from shiftprod import cli, verify_witness
-            cli._CHUNK_PAIRS = 2
+            from shiftprod import cli
+            from shiftprod.verify import witness_identities
+            cli._SPAN_PAIRS = 2
+            cli._POOL_MIN_PAIRS = 0
             os.sched_getaffinity = lambda pid: {{0, 1}}
 
-            def dies_on_one_pair(pair, m, X):
-                if pair.x == (1, 7):
+            def dies_on_one_pair(x, y, m, X):
+                if x == (1, 7):
                     os._exit(9)
-                return verify_witness(pair, m, X)
+                return witness_identities(x, y, m, X)
 
-            cli.verify_witness = dies_on_one_pair
+            cli.witness_identities = dies_on_one_pair
             try:
                 cli.main(["lemma-check", "--shift", "rational:1/2", "--in", {str(path)!r}])
             finally:
@@ -665,6 +689,156 @@ class TestLemmaCheckPool:
         """)
         assert code == 1, err
         assert "children: []\n" in err and "BrokenProcessPool" in err, err
+
+
+def big_solution(P, Q):
+    """A rational:1/2 witness: 2v + 1 runs over 3P, 5Q on one side and 5P, 3Q on the other."""
+    return {"x": [(3 * P - 1) // 2, (5 * Q - 1) // 2], "y": [(5 * P - 1) // 2, (3 * Q - 1) // 2]}
+
+
+# Inputs the flat store must hold as they are: a side of k = 2 and one of
+# k = 3, entries of 2^63 and more (past int64, where the store becomes a
+# list) and of 2^64 and more, and a pair with empty sides.
+EDGE_WITNESSES = [
+    {"x": [1, 7], "y": [2, 4]},
+    big_solution(2**62 + 1, 3),  # (5P - 1) / 2 lies in [2^63, 2^64)
+    {"x": [1, 12, 3], "y": [2, 2, 10]},  # 3 * 25 * 7 = 5 * 5 * 21
+    {"x": [], "y": []},
+    big_solution(2**64 + 1, 2**64 + 3),
+    {"x": [1, 4], "y": [2, 6]},  # no solution
+    {"x": [2**64, 5], "y": [3, 2**64]},  # cancels to k = 1 = d
+]
+
+
+def expected_lemma_check(entries, m, X):
+    """lemma-check's (exit code, stdout, stderr) on `entries`, from `verify_witness`'s reports."""
+    records, err = [], ""
+    for entry in entries:
+        pair = SolutionPair(tuple(entry["x"]), tuple(entry["y"]))
+        try:
+            report = verify_witness(pair, m, X)
+        except (NotASolutionError, PreconditionViolationError) as exc:
+            records.append({**pair.to_json_dict(), "error": str(exc)})
+            err += f"witness x={list(pair.x)} y={list(pair.y)}: {exc}\n"
+        else:
+            records.append(report.to_json_dict())
+            if not report.all_ok:
+                err += f"witness x={list(pair.x)} y={list(pair.y)}: identity check failed\n"
+    return (3 if err else 0), json.dumps(records, indent=2) + "\n", err
+
+
+class TestWitnessStore:
+    """lemma-check's flat store of pairs, in this process and read in place by forked workers."""
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_edge_inputs(self, capsys, monkeypatch, tmp_path, source):
+        text = json.dumps(EDGE_WITNESSES)
+        args = ["--shift", "rational:1/2"]
+        if source == "file":
+            (tmp_path / "w.json").write_text(text)
+            args += ["--in", str(tmp_path / "w.json")]
+        else:
+            monkeypatch.setattr(sys, "stdin", mock.Mock(**{"read.return_value": text}))
+        largest = max(v for entry in EDGE_WITNESSES for side in entry.values() for v in side)
+        assert largest >= 2**65
+        expected = expected_lemma_check(
+            EDGE_WITNESSES, minimal_polynomial_for(parse_shift("rational:1/2")), largest)
+        in_process, pooled = lemma_check_both_ways(capsys, monkeypatch, *args, spans=4)
+        assert in_process == pooled == expected
+        assert '"k=1 must exceed the minimal-polynomial degree d=1"' in expected[1]
+
+    def test_widens_only_past_int64(self):
+        store = cli._Witnesses()
+        store.append(((1, 2**63 - 1), (3, 4)))
+        assert type(store.entries) is array.array
+        store.append(((1, 5), (2, 2**63)))
+        assert type(store.entries) is list
+        assert list(store.sides(0, 2)) == [((1, 2**63 - 1), (3, 4)), ((1, 5), (2, 2**63))]
+
+    def test_pool_only_from_the_minimum_input(self, capsys, monkeypatch, tmp_path):
+        calls = spy_on_pool(monkeypatch)
+        path = tmp_path / "w.json"
+        for pairs, pooled in ((cli._POOL_MIN_PAIRS - 1, False), (cli._POOL_MIN_PAIRS, True)):
+            path.write_text(json.dumps([{"x": [1, 7], "y": [2, 4]}] * pairs))
+            before = len(calls)
+            code, out, err = run(capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path))
+            assert (code, err, out.count('"lemma_ok"')) == (0, "", pairs)
+            assert len(calls) - before == pooled, pairs
+        assert multiprocessing.active_children() == []
+
+    def test_store_holds_at_most_64_bytes_a_pair(self, tmp_path):
+        # 2 + 2 entries of 8 B and an offset of 8 B, and the arrays' growth room;
+        # the pairs held as tuples of ints took about 197 B
+        path = str(tmp_path / "w.json")
+        code, out, err = fresh_python(f"""
+            import tracemalloc
+            from shiftprod import cli
+            argv = ["witness", "--k", "2", "--X", "400", "--shift", "rational:1/2", "--out", {path!r}]
+            assert cli.main(argv) == 0
+            tracemalloc.start()
+            store = cli._load_witnesses({path!r})
+            print(len(store), tracemalloc.get_traced_memory()[0])
+        """)
+        assert code == 0, err
+        pairs, held = map(int, out.split())
+        assert pairs >= 30_000
+        assert held <= 64 * pairs, held / pairs
+
+
+GENUINE_CELLS = [(3, 12, Rational(1, 2)), (3, 20, Algebraic(MINPOLYS[1])),
+                 (4, 14, Algebraic(MINPOLYS[2]))]
+
+
+@functools.cache
+def genuine_witnesses(i):
+    """The witnesses of one small cell over MINPOLYS[i]."""
+    k, X, shift = GENUINE_CELLS[i]
+    assert minimal_polynomial_for(shift) == MINPOLYS[i]
+    return list(find_nondiagonal_witnesses(k, X, shift))
+
+
+@st.composite
+def checked_pairs(draw):
+    """(m, pair, X): a pair that solves, or does not, or cancels down to k <= d, at an X
+    that may lie below its largest entry."""
+    i = draw(st.integers(0, len(MINPOLYS) - 1))
+    kind = draw(st.sampled_from(["genuine", "big", "random"]))
+    if kind == "genuine":
+        pair = draw(st.sampled_from(genuine_witnesses(i)))
+        x, y = list(pair.x), list(pair.y)
+    elif kind == "big":  # a rational:1/2 solution, which is none over the other m
+        odd = st.integers(0, 2**69).map(lambda n: 2 * n + 1)
+        x, y = big_solution(draw(odd), draw(odd)).values()
+    else:
+        k = draw(st.integers(0, 5))
+        side = st.lists(st.integers(1, 40), min_size=k, max_size=k)
+        x, y = draw(side), draw(side)
+    shared = draw(st.lists(st.integers(1, 40), max_size=3))
+    x, y = x + shared, y + shared
+    top = max(x + y, default=1)
+    X = draw(st.integers(max(1, top - 2), top + 50))
+    return MINPOLYS[i], SolutionPair(tuple(x), tuple(y)), X
+
+
+@settings(deadline=None, max_examples=300)
+@given(checked_pairs())
+def test_kernel_records_equal_json_dumps_of_verify_witness(case):
+    # lemma-check renders the kernel's result; verify_witness wraps it in a report
+    m, pair, X = case
+    store = cli._Witnesses()
+    store.append((pair.x, pair.y))
+
+    def outcome(call):
+        try:
+            return call()
+        except ValueError as exc:  # X below the largest entry left after cancelling
+            return type(exc), str(exc)
+
+    def checked():
+        text, errors = cli._check_span(store, m, X, 0, 1)
+        return 3 if errors else 0, "".join(cli._json_list_text([text])), "".join(errors)
+
+    assert outcome(checked) == outcome(lambda: expected_lemma_check([pair.to_json_dict()], m, X))
 
 
 @pytest.mark.parametrize(
@@ -676,7 +850,10 @@ class TestLemmaCheckPool:
      # objects that are no array element, and elements that are no object
      '{"x": [1], "y": [2]}', '[{"x": [{"x": [1], "y": [2]}], "y": [2]}]',
      '[[{"x": [1], "y": [2]}]]', '[{"x": [1], "y": [2], "z": {"x": [1], "y": [2]}}]',
-     '[{"x": [1], "y": [2], "z": {"w": 1}}]', '[{"x": [1], "y": [2]}, 3]'],
+     '[{"x": [1], "y": [2], "z": {"w": 1}}]', '[{"x": [1], "y": [2]}, 3]',
+     # entries past int64, and sides of k = 2 and 3 in one file
+     '[{"x": [1, 2], "y": [3, 4]}, {"x": [18446744073709551616], "y": [9223372036854775808]},'
+     ' {"x": [5, 6, 7], "y": [1, 2, 3]}]'],
 )
 def test_loader_meets_the_whole_text_parse(tmp_path, text):
     # each object is made a witness's sides as it is parsed; any fault is
@@ -690,7 +867,11 @@ def test_loader_meets_the_whole_text_parse(tmp_path, text):
         except Exception as exc:
             return type(exc), str(exc)
 
-    assert outcome(_load_witnesses, str(path)) == outcome(cli._parse_witnesses, text)
+    def pairs(store):
+        return list(store.sides(0, len(store)))
+
+    loaded = outcome(lambda p: pairs(_load_witnesses(p)), str(path))
+    assert loaded == outcome(lambda t: pairs(cli._parse_witnesses(t)), text)
 
 
 def fresh_python(code: str) -> tuple[int, str, str]:

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, symmetric functions, and minimal polynomials."""
 
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from shiftprod import (
     reduce_mod_minpoly,
     shift_product_poly,
 )
+from shiftprod.polynomials import _split_degrees
 
 rng = random.Random(20260810)
 
@@ -256,6 +258,14 @@ class TestMinimalPolynomial:
         assert MinimalPolynomial([1, 0, 0, 0, 1]).degree == 4  # t^4 + 1
         assert MinimalPolynomial([-2, 0, 0, 0, 1]).degree == 4  # t^4 - 2
 
+    @pytest.mark.parametrize("n", [10**16 + 61, 10**29 + 57])
+    def test_large_coefficients_settled_by_factor_degrees(self, n):
+        # n is no square, and t^2 - n is irreducible modulo a small prime, so no
+        # value near n is factored in search of a linear factor
+        start = time.perf_counter()
+        assert MinimalPolynomial([-n, 0, 1]).degree == 2
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("coeffs", IRREDUCIBLE.values(), ids=IRREDUCIBLE.keys())
     def test_irreducible_at_any_degree_accepted_without_warning(self, coeffs):
         with warnings.catch_warnings():
@@ -294,6 +304,21 @@ def primitive_polys(draw):
     else:
         f = poly(d)
     return Poly([c // f.content() for c in f.coeffs])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(f=primitive_polys())
+def test_split_degrees_keep_every_factor_degree(f):
+    # sympy is a test oracle only; an integer factor's degree is a sum of
+    # some of its irreducible factors' degrees
+    sympy = pytest.importorskip("sympy")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("t")))
+    sums = {0}
+    for g, multiplicity in factors:
+        for _ in range(multiplicity):
+            sums |= {s + g.degree() for s in sums}
+    d = f.degree
+    assert {e for e in sums if 0 < e <= d // 2} <= set(_split_degrees(f.coeffs)), f
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
