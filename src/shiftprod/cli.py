@@ -4,22 +4,23 @@ Subcommands: count, scan, witness, lemma-check, contrast.  Each calls the
 engine directly: count, scan and contrast call `count_mean_value` once per
 cell, witness calls `find_nondiagonal_witnesses`, and lemma-check calls
 `witness_identities`, the integer kernel behind `verify_witness`, which
-cancels shared values itself.  lemma-check holds its pairs flat in one
-integer array (`_Witnesses`) and checks them in spans of pairs; an input of
-`_POOL_MIN_PAIRS` pairs or more, with two spans and two CPUs or more, is
-checked in a pool of forked workers that read the array they inherit and
-are sent only each span's bounds (see `_checked_spans`).  `--format` (csv
-or json) applies to count, scan and contrast; witness and lemma-check
-always write JSON.  count, scan and contrast hand their rows to one writer,
-whose CSV takes its header from the first row's keys and whose JSON is
-`json.dumps(rows, indent=2)`; scan's JSON document, whose rows sit beside
-the exponent fit, is `json.dumps` too.  witness and lemma-check stream
-their lists, which run to many thousands of records: each pair or report is
-filled straight into one cached template per record shape, byte-equal to
-`json.dumps(indent=2)`.  Exit codes: 0 success / all checks pass, 1 usage
-or configuration error, 2 capacity (memory budget) error, 3 check failure
-(non-solution, failed identity, or diagonal input where a witness was
-required).
+cancels shared values itself and returns the one report type,
+`WitnessReport`, that lemma-check renders.  lemma-check holds its pairs
+flat in one integer array (`_Witnesses`) and checks them in spans of pairs;
+an input of `_POOL_MIN_PAIRS` pairs or more, with two spans and two CPUs or
+more, is checked in a pool of forked workers that read the array they
+inherit and are sent only each span's bounds (see `_checked_spans`).
+`--format` (csv or json) applies to count, scan and contrast; witness and
+lemma-check always write JSON.  count, scan and contrast hand their rows to
+one writer, whose CSV takes its header from the first row's keys and whose
+JSON is `json.dumps(rows, indent=2)`; scan's JSON document, whose rows sit
+beside the exponent fit, is `json.dumps` too.  witness and lemma-check
+stream their lists, which run to many thousands of records: each pair or
+report is filled straight into one cached template per record shape,
+byte-equal to `json.dumps(indent=2)`.  Exit codes: 0 success / all checks
+pass, 1 usage or configuration error, 2 capacity (memory budget) error, 3
+check failure (non-solution, failed identity, or diagonal input where a
+witness was required).
 """
 
 from __future__ import annotations
@@ -46,11 +47,10 @@ from .counting import (
 )
 from .shifts import Transcendental, format_shift, minimal_polynomial_for, parse_shift
 from .verify import (
-    Identities,
     NotASolutionError,
     PreconditionViolationError,
+    WitnessReport,
     fit_growth_exponent,
-    identities_hold,
     max_ratio,
     reference_exponent,
     witness_identities,
@@ -378,12 +378,12 @@ def _load_witnesses(path: Optional[str]) -> _Witnesses:
     return _parse_witnesses(text)
 
 
-def _report_record(identities: Identities, X: int, d: int) -> str:
-    """The rendered record of the `WitnessReport` that `identities` makes at this X and d."""
-    x, y, f, psi, rho, norm_ok, lemma_ok = identities
+def _report_record(report: WitnessReport) -> str:
+    """The rendered record of `report.to_json_dict()`."""
+    x, y, f, psi, rho, norm_ok, lemma_ok, m, X = report
     k = len(x)
     shape = (k, len(y), len(f), len(psi), len(rho), None, None, None, len(lemma_ok))
-    ratios = (_ratio_text(f, X, k), _ratio_text(psi, X, k - d))
+    ratios = (_ratio_text(f, X, k), _ratio_text(psi, X, k - m.degree))
     bools = tuple(map(_JSON_BOOL.__getitem__, (norm_ok, *lemma_ok)))
     return _template(_REPORT_KEYS, shape) % (x + y + f + psi + rho + ratios + bools)
 
@@ -396,18 +396,17 @@ def _check_span(
     `witness_identities` is looked up in this module when the span runs, so a
     replacement of it reaches forked workers too.
     """
-    d = m.degree
     records, errors = [], []
     for x, y in store.sides(start, stop):
         try:
-            identities = witness_identities(x, y, m, x_cap)
+            report = witness_identities(x, y, m, x_cap)
         except (NotASolutionError, PreconditionViolationError) as exc:
             error = str(exc)
             template = _template(("x", "y", "error"), (len(x), len(y), None))
             records.append(template % (x + y + (_json_string(error),)))
         else:
-            records.append(_report_record(identities, x_cap, d))
-            error = None if identities_hold(identities, d) else "identity check failed"
+            records.append(_report_record(report))
+            error = None if report.all_ok else "identity check failed"
         if error is not None:
             errors.append(f"witness x={list(x)} y={list(y)}: {error}\n")
     return ",\n".join(records), errors

@@ -28,25 +28,25 @@ tuples: F comes from the two elementary symmetric vectors, Psi from
 synthetic division on ints, and each m(-y_j) is evaluated once by Horner's
 rule and serves both the k identities and the norm identity.  Only a
 non-solution leaves the integers: its division falls back to the rational
-`divmod` of `Poly`, whose remainder the error reports.  `verify_witness`
-wraps the kernel's result in a `WitnessReport`, which holds F, Psi, rho and
-the verdicts; the ratio maxima C_a and C_b are derived from F, Psi and X
-when read.  The CLI's lemma-check renders the kernel's result directly,
-with no `Poly` or report per pair.  The ratios of one polynomial share the
-denominator X^n (n = k or k - d), so the largest is found in the integers
-as the largest |c_j| * X^j and reduced by one gcd (`max_ratio`); the
-`Fraction` properties and the CLI's report text both come from it.
+`divmod` of `Poly`, whose remainder the error reports.  The kernel returns
+the one report type, `WitnessReport`, a named tuple of those plain values;
+`verify_witness` returns it as it is, and the CLI's lemma-check renders it.
+The report's `pair`, `f` and `psi` build a `SolutionPair` or `Poly`, and
+its ratio maxima C_a and C_b are derived from F, Psi and X, only when
+read.  The ratios of one polynomial share the denominator X^n
+(n = k or k - d), so the largest is found in the integers as the largest
+|c_j| * X^j and reduced by one gcd (`max_ratio`); the `Fraction`
+properties and the CLI's report text both come from it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .counting import CountReport, SolutionPair, cancelled_sides
-from .polynomials import MinimalPolynomial, Poly, elementary_symmetric
+from .polynomials import MinimalPolynomial, Poly, elementary_symmetric, norm_factor
 from .shifts import Shift, Transcendental, minimal_polynomial_for
 
 
@@ -82,16 +82,10 @@ def factor_out_minpoly(f: Poly, m: MinimalPolynomial) -> Poly:
     A nonzero remainder means the pair that produced f is not a solution for
     this shift.  A divisible f with non-integer quotient cannot happen for a
     primitive m and integral f; it is reported as an invariant violation.
-    Synthetic division runs on the ints while each step divides exactly
-    (`_int_quotient`); when it does not, one `divmod` over the rationals finds
-    the remainder the error reports.
+    The division stays in the integers while each step divides exactly.
     """
     if not f:
         raise ValueError("the difference polynomial must be nonzero")
-    quotient = _int_quotient(f.coeffs, m.coeffs)
-    if quotient is not None:
-        return Poly._of_ints(quotient)
-    # f is no multiple of m in Z[t]: the division over Q finds what to report
     quotient, remainder = divmod(f, m.poly)
     if remainder:
         raise NotASolutionError(
@@ -126,18 +120,6 @@ def _int_quotient(f: Sequence[int], mc: Sequence[int]) -> Optional[list[int]]:
     return None if any(rem[:d]) else quotient
 
 
-def _at_negatives(coeffs: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
-    """p(-v) for each value v, by Horner's rule on p's coefficients (constant first)."""
-    top = coeffs[::-1]
-    out = []
-    for v in values:
-        acc = 0
-        for c in top:
-            acc = c - acc * v
-        out.append(acc)
-    return tuple(out)
-
-
 def max_ratio(coeffs: Sequence[int], X: int, n: int) -> tuple[int, int]:
     """max |c_j| / X^(n-j) over j < n, as numerator and denominator in lowest terms.
 
@@ -157,28 +139,46 @@ def max_ratio(coeffs: Sequence[int], X: int, n: int) -> tuple[int, int]:
 
 def norm_identity_check(pair: SolutionPair, m: MinimalPolynomial) -> bool:
     """Whether prod m(-x_i) = prod m(-y_i); false signals a non-solution."""
-    return math.prod(_at_negatives(m.coeffs, pair.x)) == math.prod(_at_negatives(m.coeffs, pair.y))
+    return math.prod(norm_factor(v, m) for v in pair.x) == math.prod(
+        norm_factor(v, m) for v in pair.y
+    )
 
 
-@dataclasses.dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """All verification results for one fully-cancelled witness pair.
 
-    The ratio maxima C_a and C_b are derived from `f`, `psi` and `x_cap`.
+    The fields are the plain values `witness_identities` computes: the
+    cancelled pair's sides, the coefficients of F and Psi (constant first),
+    rho_j = Psi(-y_j), the verdicts, and the m and X they were checked at.
+    `pair`, `f` and `psi` build a `SolutionPair` or `Poly` when read; the
+    ratio maxima C_a and C_b are derived from the coefficients and `x_cap`.
     """
 
-    pair: SolutionPair
-    minpoly: MinimalPolynomial
-    x_cap: int
-    f: Poly
-    psi: Poly
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    f_coeffs: tuple[int, ...]
+    psi_coeffs: tuple[int, ...]
     rho: tuple[int, ...]
     norm_identity_ok: bool
     lemma_ok: tuple[bool, ...]
+    minpoly: MinimalPolynomial
+    x_cap: int
+
+    @property
+    def pair(self) -> SolutionPair:
+        return SolutionPair._canonical(self.x, self.y)
+
+    @property
+    def f(self) -> Poly:
+        return Poly._of_ints(list(self.f_coeffs))
+
+    @property
+    def psi(self) -> Poly:
+        return Poly._of_ints(list(self.psi_coeffs))
 
     @property
     def k(self) -> int:
-        return self.pair.k
+        return len(self.x)
 
     @property
     def d(self) -> int:
@@ -187,16 +187,17 @@ class WitnessReport:
     @property
     def max_f_ratio(self) -> Fraction:
         """C_a of this witness: max |F_j| / X^(k-j) over j < k."""
-        return Fraction(*max_ratio(self.f.coeffs, self.x_cap, self.k))
+        return Fraction(*max_ratio(self.f_coeffs, self.x_cap, self.k))
 
     @property
     def max_psi_ratio(self) -> Fraction:
         """C_b of this witness: max |Psi_j| / X^(k-d-j) over j < k - d."""
-        return Fraction(*max_ratio(self.psi.coeffs, self.x_cap, self.k - self.d))
+        return Fraction(*max_ratio(self.psi_coeffs, self.x_cap, self.k - self.d))
 
     @property
     def psi_degree_ok(self) -> bool:
-        return self.psi.degree <= self.k - 1 - self.d
+        """deg Psi <= k - 1 - d, read off the lengths: all_ok runs once per pair."""
+        return len(self.psi_coeffs) <= len(self.x) - self.minpoly.degree
 
     @property
     def all_ok(self) -> bool:
@@ -204,10 +205,10 @@ class WitnessReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": list(self.pair.x),
-            "y": list(self.pair.y),
-            "F_coeffs": list(self.f.coeffs),
-            "psi_coeffs": list(self.psi.coeffs),
+            "x": list(self.x),
+            "y": list(self.y),
+            "F_coeffs": list(self.f_coeffs),
+            "psi_coeffs": list(self.psi_coeffs),
             "rho": list(self.rho),
             "C_a": str(self.max_f_ratio),
             "C_b": str(self.max_psi_ratio),
@@ -216,27 +217,9 @@ class WitnessReport:
         }
 
 
-# The fields of `witness_identities`' result, in order.
-Identities = tuple[
-    tuple[int, ...],  # x, the cancelled pair's lower side
-    tuple[int, ...],  # y
-    tuple[int, ...],  # F's coefficients, constant first
-    tuple[int, ...],  # Psi's coefficients
-    tuple[int, ...],  # rho_j = Psi(-y_j)
-    bool,  # the norm identity holds
-    tuple[bool, ...],  # the k lemma identities hold, one per y_j
-]
-
-
-def identities_hold(identities: Identities, d: int) -> bool:
-    """`WitnessReport.all_ok` of a `witness_identities` result, for a minimal polynomial of degree d."""
-    x, _, _, psi, _, norm_ok, lemma_ok = identities
-    return all(lemma_ok) and norm_ok and len(psi) <= len(x) - d
-
-
 def witness_identities(
     x: tuple[int, ...], y: tuple[int, ...], m: MinimalPolynomial, X: int
-) -> Identities:
+) -> WitnessReport:
     """Every factorization identity of one witness, computed on plain ints and tuples.
 
     `x` and `y` are a pair's canonical sides: each sorted, x <= y.  Values
@@ -272,7 +255,7 @@ def witness_identities(
     if psi is None:  # no multiple of m in Z[t]: this raises, naming the remainder
         psi = factor_out_minpoly(Poly._of_ints(f), m).coeffs
     # Horner's rule, inlined: on k = 2 pairs it takes about a fifth of the
-    # kernel's time off, against calls to _at_negatives
+    # kernel's time off, against a helper call per side
     m_top = mc[::-1]
     psi_top = psi[::-1]
     rho, lemma_ok = [], []
@@ -295,7 +278,9 @@ def witness_identities(
         for c in m_top:
             m_xi = c - m_xi * xi
         norm_x *= m_xi
-    return x, y, tuple(f), tuple(psi), tuple(rho), norm_x == norm_y, tuple(lemma_ok)
+    return WitnessReport(
+        x, y, tuple(f), tuple(psi), tuple(rho), norm_x == norm_y, tuple(lemma_ok), m, X
+    )
 
 
 def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessReport:
@@ -309,12 +294,7 @@ def verify_witness(pair: SolutionPair, m: MinimalPolynomial, X: int) -> WitnessR
     NotASolutionError when the pair does not solve the equation.  The
     identities come from `witness_identities`.
     """
-    x, y, f, psi, rho, norm_ok, lemma_ok = witness_identities(pair.x, pair.y, m, X)
-    # positional: keywords cost a frozen dataclass about 1 us more per report
-    return WitnessReport(
-        SolutionPair._canonical(x, y), m, X, Poly._of_ints(list(f)), Poly._of_ints(list(psi)),
-        rho, norm_ok, lemma_ok,
-    )
+    return witness_identities(pair.x, pair.y, m, X)
 
 
 def fit_growth_exponent(reports: Sequence[CountReport]) -> Optional[float]:

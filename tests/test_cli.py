@@ -38,15 +38,22 @@ from shiftprod import (
     verify_witness,
 )
 import shiftprod
-from shiftprod.verify import PreconditionViolationError, witness_identities
+from shiftprod.counting import cancel_common_factors
+from shiftprod.verify import (
+    PreconditionViolationError,
+    factor_out_minpoly,
+    norm_identity_check,
+    product_difference,
+    witness_identities,
+)
 from shiftprod import cli
 from shiftprod.cli import _load_witnesses, _pair_record, _report_record, main
 
 
 def first_identity_fails(x, y, m, X):
     """`witness_identities`, but with the first of the k lemma identities failed."""
-    *fields, lemma_ok = witness_identities(x, y, m, X)
-    return (*fields, (False,) + lemma_ok[1:])
+    report = witness_identities(x, y, m, X)
+    return report._replace(lemma_ok=(False,) + report.lemma_ok[1:])
 
 
 def run(capsys, *args):
@@ -370,15 +377,17 @@ def witness_reports(draw):
     """Any report a writer may meet, genuine or not, with k > d as verify_witness ensures."""
     m = draw(st.sampled_from(MINPOLYS))
     k = draw(st.integers(m.degree + 1, 6))
+    pair = draw(witness_pairs(k))
     return WitnessReport(
-        pair=draw(witness_pairs(k)),
-        minpoly=m,
-        x_cap=draw(st.integers(1, 2**70)),
-        f=Poly(draw(st.lists(BIG_INTS, max_size=k))),
-        psi=Poly(draw(st.lists(BIG_INTS, max_size=k - m.degree))),
+        x=pair.x,
+        y=pair.y,
+        f_coeffs=Poly(draw(st.lists(BIG_INTS, max_size=k))).coeffs,
+        psi_coeffs=Poly(draw(st.lists(BIG_INTS, max_size=k - m.degree))).coeffs,
         rho=tuple(draw(st.lists(BIG_INTS, min_size=k, max_size=k))),
         norm_identity_ok=draw(st.booleans()),
         lemma_ok=tuple(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
+        minpoly=m,
+        x_cap=draw(st.integers(1, 2**70)),
     )
 
 
@@ -386,18 +395,16 @@ def witness_reports(draw):
 @given(WITNESS_PAIRS | witness_reports())
 # a one-term psi; a zero C_b, which prints "0"; a failed norm and lemma check
 @example(WitnessReport(
-    SolutionPair((1, 7), (2, 4)), MINPOLYS[0], 7, Poly([-1, 2]), Poly([1]), (1, 1), True, (True, True)
+    (1, 7), (2, 4), (-1, 2), (1,), (1, 1), True, (True, True), MINPOLYS[0], 7
 ))
 @example(WitnessReport(
-    SolutionPair((1, 2**65), (3, 2**66)), MINPOLYS[1], 2**66, Poly([-(2**70), 2**64 + 1]),
-    Poly([]), (0, -(2**64) - 5, 3), False, (True, False, True)
+    (1, 2**65), (3, 2**66), (-(2**70), 2**64 + 1), (), (0, -(2**64) - 5, 3), False,
+    (True, False, True), MINPOLYS[1], 2**66
 ))
 def test_rendered_witness_records_equal_json_dumps(record):
     # witness and lemma-check fill a template per record shape, not to_json_dict
     if isinstance(record, WitnessReport):
-        identities = (record.pair.x, record.pair.y, record.f.coeffs, record.psi.coeffs,
-                      record.rho, record.norm_identity_ok, record.lemma_ok)
-        rendered = _report_record(identities, record.x_cap, record.d)
+        rendered = _report_record(record)
     else:
         rendered = _pair_record(record)
     expected = json.dumps([record.to_json_dict()], indent=2) + "\n"
@@ -839,6 +846,76 @@ def test_kernel_records_equal_json_dumps_of_verify_witness(case):
         return 3 if errors else 0, "".join(cli._json_list_text([text])), "".join(errors)
 
     assert outcome(checked) == outcome(lambda: expected_lemma_check([pair.to_json_dict()], m, X))
+
+
+@st.composite
+def genuine_pairs(draw):
+    """(m, pair): a genuine witness over one of MINPOLYS, or a rational:1/2 solution with
+    entries past 2^64, with shared values added."""
+    i = draw(st.integers(0, len(MINPOLYS) - 1))
+    if draw(st.booleans()):
+        pair = draw(st.sampled_from(genuine_witnesses(i)))
+        m, x, y = MINPOLYS[i], list(pair.x), list(pair.y)
+    else:
+        odd = st.integers(2**64, 2**69).map(lambda n: 2 * n + 1)
+        P, Q = draw(odd), draw(odd)
+        assume(P != Q)  # P = Q makes the sides equal
+        m, (x, y) = MINPOLYS[0], big_solution(P, Q).values()
+    shared = draw(st.lists(st.integers(1, 40), max_size=3))
+    return m, SolutionPair(tuple(x + shared), tuple(y + shared))
+
+
+@settings(deadline=None, max_examples=200)
+@given(genuine_pairs())
+def test_report_views_equal_the_helpers(case):
+    # the kernel inlines each helper's arithmetic; the report's views tie them together
+    m, pair = case
+    rep = verify_witness(pair, m, max(pair.x + pair.y))
+    assert rep.f == product_difference(rep.x, rep.y)
+    assert rep.psi == factor_out_minpoly(rep.f, m)
+    assert rep.pair == cancel_common_factors(pair)
+    assert rep.norm_identity_ok == norm_identity_check(rep.pair, m)
+    assert rep.psi_degree_ok == (rep.psi.degree <= rep.k - 1 - rep.d)
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of `owner.name`, a function or classmethod, in `counts[name]`."""
+    original = owner.__dict__[name]
+    is_classmethod = isinstance(original, classmethod)
+    fn = original.__func__ if is_classmethod else original
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        counts[f"{owner.__name__}.{name}"] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, classmethod(counted) if is_classmethod else counted)
+
+
+def test_lemma_check_builds_no_view_per_pair(capsys, monkeypatch, tmp_path):
+    # each pair's report stays a tuple of plain values: its SolutionPair and
+    # Polys are built only when read, and the command reads none of them
+    one, many = tmp_path / "one.json", tmp_path / "many.json"
+    one.write_text(json.dumps([{"x": [1, 7], "y": [2, 4]}]))
+    argv = ["--k", "2", "--X", "150", "--shift", "rational:1/2"]
+    assert main(["witness", *argv, "--out", str(many)]) == 0
+    assert 2 <= len(_load_witnesses(str(many))) < cli._POOL_MIN_PAIRS  # checked in this process
+    counts = collections.Counter()
+    for owner, name in ((Poly, "__init__"), (Poly, "_of_ints"),
+                        (SolutionPair, "__init__"), (SolutionPair, "_canonical")):
+        count_calls(monkeypatch, owner, name, counts)
+
+    def calls(path):
+        counts.clear()
+        code, out, err = run(capsys, "lemma-check", "--shift", "rational:1/2", "--in", str(path))
+        assert (code, err) == (0, "")
+        return dict(counts)
+
+    assert calls(one) == calls(many)
+    report = verify_witness(SolutionPair((1, 7), (2, 4)), MINPOLYS[0], 7)
+    counts.clear()
+    report.pair, report.f, report.psi  # the spies see the views built when read
+    assert counts == {"SolutionPair._canonical": 1, "Poly._of_ints": 2}
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 `perfbench/tracing.py` replaces public shiftprod functions by name and raises
 on a missing one, so renaming or deleting a traced name would end every
-traced benchmark run.  This test loads the tracer from its file (without
-writing bytecode next to it) and runs one small CLI call under it.
+traced benchmark run.  These tests load the tracer from its file (without
+writing bytecode next to it) and run small CLI calls under it.
 """
 
 import importlib.util
@@ -48,6 +48,33 @@ def test_traced_count_records_spans_and_restores_names(monkeypatch, capsys):
     assert code == 0 and capsys.readouterr().out.startswith("k,X,shift,")
     names = {span[2] for span in tracer.spans}
     assert {"cli.main", "shifts.parse_shift", "counting.count_mean_value"} <= names
+    after = package_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def witness_then_lemma_check(capsys, path):
+    """A small rational:1/2 cell's witness file, then lemma-check's exit code,
+    stdout and stderr on it."""
+    cell = ["--shift", "rational:1/2"]
+    assert shiftprod.cli.main(["witness", "--k", "2", "--X", "40", *cell, "--out", str(path)]) == 0
+    code = shiftprod.cli.main(["lemma-check", *cell, "--in", str(path)])
+    captured = capsys.readouterr()
+    return path.read_text(), code, captured.out, captured.err
+
+
+def test_traced_lemma_check_writes_the_untraced_output(monkeypatch, capsys, tmp_path):
+    tracing = load_tracing(monkeypatch)
+    untraced = witness_then_lemma_check(capsys, tmp_path / "untraced.json")
+    before = package_bindings()
+    tracer = tracing.Tracer("t")
+    with tracer.installed():
+        traced = witness_then_lemma_check(capsys, tmp_path / "traced.json")
+    assert traced == untraced
+    witnesses, code, _, err = traced
+    assert (code, err) == (0, "") and witnesses != "[]\n"
+    names = [span[2] for span in tracer.spans]
+    assert names.count("cli.main") == 2 and "counting.find_nondiagonal_witnesses" in names
     after = package_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
